@@ -8,11 +8,15 @@ many ID assignments.
 
 The representation is optimised for the access pattern of the round
 simulator: ``neighbors(v)`` is a tuple lookup, ``degree(v)`` is O(1), and
-edge-set membership is O(1) via per-vertex frozensets.
+edge-set membership is O(1) via per-vertex frozensets.  Graphs built with
+:meth:`Graph.from_csr` keep only the CSR arrays and build each of those
+Python-object structures on first use.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Mapping, Sequence
 
 #: largest value an int32 CSR array can address (offsets run to 2m,
@@ -23,6 +27,36 @@ INT32_MAX = 2**31 - 1
 def canonical_edge(u: int, v: int) -> tuple[int, int]:
     """Return the canonical ``(min, max)`` form of the undirected edge."""
     return (u, v) if u < v else (v, u)
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector while a block builds one large
+    container of fresh tuples or frozensets: every few hundred such
+    allocations would otherwise trigger a collection that rescans them,
+    which costs as much as building them (these containers hold only
+    ints, so they cannot form cycles)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def csr_sources(offsets):
+    """The row of every CSR entry: ``src[k] == v`` for
+    ``offsets[v] <= k < offsets[v + 1]``, in the dtype of ``offsets``.
+
+    Paired with ``indices`` it lists every directed edge ``(src, dst)``
+    in CSR order, which is what the vectorised edge checks run over.
+    """
+    import numpy as np
+
+    return np.repeat(
+        np.arange(offsets.size - 1, dtype=offsets.dtype), np.diff(offsets)
+    )
 
 
 def csr_index_dtype(n: int, m2: int, dtype: str = "auto"):
@@ -116,30 +150,39 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges in canonical ``(min, max)`` form, sorted."""
-        self._materialize_objects()
+        if self._edges is None:
+            offsets, indices = self._csr_view()
+            src = csr_sources(offsets)
+            upper = src < indices
+            with _gc_paused():
+                self._edges = tuple(
+                    zip(src[upper].tolist(), indices[upper].tolist())
+                )
         return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """The sorted neighbors of ``v``."""
-        self._materialize_objects()
-        return self._adj[v]
+        return self._adjacency()[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         """The neighbors of ``v`` as a frozenset (O(1) membership)."""
-        self._materialize_objects()
+        if self._adj_sets is None:
+            with _gc_paused():
+                self._adj_sets = tuple(
+                    frozenset(row) for row in self._csr_slices()
+                )
         return self._adj_sets[v]
 
     def degree(self, v: int) -> int:
         """deg(v): the number of edges incident on ``v``."""
         if self._adj is None:
-            offsets, _ = self.csr()
+            offsets, _ = self._csr_view()
             return int(offsets[v + 1] - offsets[v])
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is an edge."""
-        self._materialize_objects()
-        return v in self._adj_sets[u]
+        return v in self.neighbor_set(u)
 
     def max_degree(self) -> int:
         """Delta(G), the maximum degree (0 for the empty graph)."""
@@ -148,7 +191,7 @@ class Graph:
         if self._adj is None:
             import numpy as np
 
-            offsets, _ = self.csr()
+            offsets, _ = self._csr_view()
             return int(np.max(np.diff(offsets)))
         return max(len(nbrs) for nbrs in self._adj)
 
@@ -157,7 +200,7 @@ class Graph:
         if self._adj is None:
             import numpy as np
 
-            offsets, _ = self.csr()
+            offsets, _ = self._csr_view()
             return np.diff(offsets).tolist()
         return [len(nbrs) for nbrs in self._adj]
 
@@ -220,13 +263,30 @@ class Graph:
         immutable and copy before mutating.
         """
         if self._csr_rows is None:
-            offsets, indices = self.csr()
-            off = offsets.tolist()
-            idx = indices.tolist()
-            self._csr_rows = [
-                idx[off[v] : off[v + 1]] for v in range(self._n)
-            ]
+            self._csr_rows = list(self._csr_slices())
         return self._csr_rows
+
+    def _csr_view(self):
+        """Whichever CSR view is cached, in its own index dtype (building
+        the default one if none is): readers that only need the values
+        never pay for a dtype cast."""
+        if self._csr:
+            return next(iter(self._csr.values()))
+        return self.csr()
+
+    def _csr_slices(self) -> Iterator[list[int]]:
+        """The neighbor rows as fresh lists of Python ints, vertex by vertex."""
+        offsets, indices = self._csr_view()
+        off = offsets.tolist()
+        idx = indices.tolist()
+        return (idx[off[v] : off[v + 1]] for v in range(self._n))
+
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The per-vertex neighbor tuples, built from CSR on first use."""
+        if self._adj is None:
+            with _gc_paused():
+                self._adj = tuple(tuple(row) for row in self._csr_slices())
+        return self._adj
 
     @classmethod
     def from_csr(cls, offsets, indices) -> "Graph":
@@ -234,12 +294,20 @@ class Graph:
 
         ``offsets`` must be non-decreasing with ``offsets[0] == 0`` and
         ``offsets[-1] == len(indices)``; ``indices`` holds both
-        orientations of every edge with each row sorted ascending (the
-        invariants :meth:`csr` guarantees).  The Python-object adjacency
-        (tuples, frozensets, the edge list) is materialised lazily only
-        if an object-level accessor is called, so columnar-only pipelines
-        can hold an n = 10^7 graph in a few hundred MB instead of tens of
-        GB of tuples.
+        orientations of every edge, each row strictly ascending and free
+        of its own vertex (the invariants :meth:`csr` guarantees).  Input
+        that breaks any of these -- including a self-loop or a repeated
+        neighbor -- is a :class:`ValueError`: the vectorised validators
+        and :meth:`edges` read the arrays as a simple graph.
+
+        The Python-object layer is built per structure, only when asked
+        for: :meth:`edges` builds just the edge tuple (vectorised, from
+        the arrays); :meth:`neighbors` and the other adjacency walks the
+        neighbor tuples; :meth:`neighbor_set` / :meth:`has_edge` the
+        frozensets; :meth:`csr_rows` the row lists.  Columnar-only
+        pipelines -- the bulk and sharded engines, H-partition and MIS
+        validation -- never build any of them, so an n = 10^7 graph fits
+        in a few hundred MB instead of tens of GB of tuples.
         """
         import numpy as np
 
@@ -259,6 +327,22 @@ class Graph:
             raise ValueError("offsets must be non-decreasing")
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise ValueError(f"indices out of range for n={n}")
+        loops = np.flatnonzero(indices == csr_sources(offsets))
+        if loops.size:
+            v = int(np.searchsorted(offsets, loops[0], side="right")) - 1
+            raise ValueError(f"self-loop at vertex {v} is not allowed")
+        # rows strictly ascending: every step must rise, except the steps
+        # from the last entry of one row to the first of the next
+        flat = np.diff(indices) <= 0
+        starts = offsets[1:-1]
+        flat[starts[(starts > 0) & (starts < indices.size)] - 1] = False
+        flat = np.flatnonzero(flat)
+        if flat.size:
+            v = int(np.searchsorted(offsets, flat[0], side="right")) - 1
+            raise ValueError(
+                f"row {v} is not strictly ascending "
+                "(unsorted or repeated neighbor)"
+            )
         g = cls.__new__(cls)
         g._n = n
         g._m = indices.size // 2
@@ -269,17 +353,6 @@ class Graph:
         g._csr = {np.dtype(offsets.dtype).name: (offsets, indices)}
         return g
 
-    def _materialize_objects(self) -> None:
-        """Build the Python-object adjacency layer from CSR if absent."""
-        if self._adj is not None:
-            return
-        rows = self.csr_rows()
-        self._adj = tuple(tuple(r) for r in rows)
-        self._adj_sets = tuple(frozenset(r) for r in rows)
-        self._edges = tuple(
-            (v, u) for v in range(self._n) for u in self._adj[v] if v < u
-        )
-
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
@@ -289,13 +362,12 @@ class Graph:
         Returns the induced graph (re-indexed ``0..k-1``) together with the
         mapping from original vertex to new index.
         """
-        self._materialize_objects()
         vs = sorted(set(vertices))
         index = {v: i for i, v in enumerate(vs)}
         keep = set(vs)
         edges = [
             (index[u], index[v])
-            for u, v in self._edges
+            for u, v in self.edges()
             if u in keep and v in keep
         ]
         return Graph(len(vs), edges), index
@@ -303,28 +375,26 @@ class Graph:
     def edge_subgraph_degrees(self, vertices: Iterable[int]) -> dict[int, int]:
         """Degrees of ``vertices`` inside the induced subgraph, without
         materialising it."""
-        self._materialize_objects()
+        adj = self._adjacency()
         keep = set(vertices)
-        return {
-            v: sum(1 for u in self._adj[v] if u in keep) for v in keep
-        }
+        return {v: sum(1 for u in adj[v] if u in keep) for v in keep}
 
     def line_graph_neighbors(self, edge: tuple[int, int]) -> list[tuple[int, int]]:
         """Edges adjacent to ``edge`` in the line graph (sharing an endpoint)."""
-        self._materialize_objects()
+        adj = self._adjacency()
         u, v = edge
         out: list[tuple[int, int]] = []
-        for w in self._adj[u]:
+        for w in adj[u]:
             if w != v:
                 out.append(canonical_edge(u, w))
-        for w in self._adj[v]:
+        for w in adj[v]:
             if w != u:
                 out.append(canonical_edge(v, w))
         return out
 
     def connected_components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists (iterative DFS)."""
-        self._materialize_objects()
+        adj = self._adjacency()
         seen = [False] * self._n
         comps: list[list[int]] = []
         for s in range(self._n):
@@ -336,7 +406,7 @@ class Graph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for u in self._adj[v]:
+                for u in adj[v]:
                     if not seen[u]:
                         seen[u] = True
                         stack.append(u)
@@ -364,10 +434,9 @@ class Graph:
         """Convert to a :class:`networkx.Graph`."""
         import networkx as nx
 
-        self._materialize_objects()
         g = nx.Graph()
         g.add_nodes_from(range(self._n))
-        g.add_edges_from(self._edges)
+        g.add_edges_from(self.edges())
         return g
 
     @classmethod
@@ -392,13 +461,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        self._materialize_objects()
-        other._materialize_objects()
-        return self._n == other._n and self._edges == other._edges
+        return self._n == other._n and self.edges() == other.edges()
 
     def __hash__(self) -> int:
-        self._materialize_objects()
-        return hash((self._n, self._edges))
+        return hash((self._n, self.edges()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self._m})"

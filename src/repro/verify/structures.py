@@ -6,10 +6,13 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.graphs.graph import Graph, canonical_edge
 from repro.graphs.arboricity import arboricity_exact
 from repro.graphs.orientation import Orientation
 from repro.verify.colorings import VerificationError
+from repro.verify.csr import directed_edges, first_set, vertex_mask
 
 
 def assert_h_partition(
@@ -21,25 +24,33 @@ def assert_h_partition(
     """An H-partition H_1, ..., H_ell (Procedure Partition's output): every
     vertex belongs to exactly one H-set, and every vertex in H_i has at most
     ``degree_bound`` neighbors in H_i u H_{i+1} u ... (within ``subset`` if
-    given, else the whole graph)."""
-    vertices = subset if subset is not None else set(g.vertices())
-    for v in vertices:
-        if v not in h_index:
+    given, else the whole graph; subset members outside the graph are
+    ignored).  H-indices are integers; keys that are not vertices are
+    ignored.  Runs on the CSR view and reports the lowest offending vertex.
+    """
+    n = g.n
+    keys = np.fromiter(h_index.keys(), dtype=np.int64, count=len(h_index))
+    vals = np.fromiter(h_index.values(), dtype=np.int64, count=len(h_index))
+    is_vertex = (keys >= 0) & (keys < n)
+    h = np.zeros(n, dtype=np.int64)
+    h[keys[is_vertex]] = vals[is_vertex]
+    assigned = np.zeros(n, dtype=bool)
+    assigned[keys[is_vertex]] = True
+    inside = np.ones(n, dtype=bool) if subset is None else vertex_mask(n, subset)
+    v = first_set(inside & (~assigned | (h < 1)))
+    if v is not None:
+        if not assigned[v]:
             raise VerificationError(f"vertex {v} was never assigned an H-set")
-        if h_index[v] < 1:
-            raise VerificationError(f"vertex {v} has invalid H-index {h_index[v]}")
-    for v in vertices:
+        raise VerificationError(f"vertex {v} has invalid H-index {h_index[v]}")
+    src, dst = directed_edges(g)
+    later = np.bincount(src[inside[dst] & (h[dst] >= h[src])], minlength=n)
+    v = first_set(inside & (later > degree_bound))
+    if v is not None:
         i = h_index[v]
-        later = sum(
-            1
-            for u in g.neighbors(v)
-            if u in vertices and h_index[u] >= i
+        raise VerificationError(
+            f"vertex {v} in H_{i} has {int(later[v])} neighbors in "
+            f"H_{i} u H_{i+1} u ... > bound {degree_bound}"
         )
-        if later > degree_bound:
-            raise VerificationError(
-                f"vertex {v} in H_{i} has {later} neighbors in "
-                f"H_{i} u H_{i+1} u ... > bound {degree_bound}"
-            )
 
 
 def assert_acyclic_orientation(

@@ -11,8 +11,11 @@ than per-algorithm wiring:
   destroys completeness (an MIS cannot stay maximal around a dead
   vertex), so the fault harness checks proper coloring among survivors,
   independence, matching disjointness, and the H-partition degree bound.
-  These moved here verbatim from ``repro.faults.harness``; the harness
-  now imports them through the registry.
+  These moved here from ``repro.faults.harness``; the harness now
+  imports them through the registry.  The partition and MIS checks run
+  on the graph's CSR view with the survivor set as a boolean mask, so
+  like the full validators for those kinds they never build the
+  Python-object adjacency of a CSR-built graph.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Callable
 
 from repro import verify
 from repro.verify import VerificationError
+from repro.verify.csr import first_edge_within, first_set, vertex_mask
 
 # ---------------------------------------------------------------------------
 # full validators (fault-free runs): validate(g, res) -> summary line
@@ -32,8 +36,9 @@ def _validate_coloring(g, res) -> str:
 
 
 def _validate_mis(g, res) -> str:
-    verify.assert_maximal_independent_set(g, res.mis)
-    return f"maximal independent set, |I| = {len(res.mis)}"
+    mis = res.mis  # a property that rebuilds the set on every read
+    verify.assert_maximal_independent_set(g, mis)
+    return f"maximal independent set, |I| = {len(mis)}"
 
 
 def _validate_matching(g, res) -> str:
@@ -128,26 +133,28 @@ def check_vertex_coloring(g, res, alive: set[int]) -> None:
 
 
 def check_partition(g, res, alive: set[int]) -> None:
-    for v in alive:
-        if v not in res.h_index:
-            raise VerificationError(
-                f"surviving vertex {v} terminated without an H-index"
-            )
+    survivors = vertex_mask(g.n, alive)
+    v = first_set(survivors & ~vertex_mask(g.n, res.h_index))
+    if v is not None:
+        raise VerificationError(
+            f"surviving vertex {v} terminated without an H-index"
+        )
     verify.assert_h_partition(g, res.h_index, res.A, subset=alive)
 
 
 def check_mis(g, res, alive: set[int]) -> None:
-    mis = res.mis
-    for v in alive:
-        if v not in res.in_mis:
-            raise VerificationError(
-                f"surviving vertex {v} terminated without an MIS decision"
-            )
-    for u, v in g.edges():
-        if u in alive and v in alive and u in mis and v in mis:
-            raise VerificationError(
-                f"surviving MIS vertices {u} and {v} are adjacent"
-            )
+    survivors = vertex_mask(g.n, alive)
+    v = first_set(survivors & ~vertex_mask(g.n, res.in_mis))
+    if v is not None:
+        raise VerificationError(
+            f"surviving vertex {v} terminated without an MIS decision"
+        )
+    pair = first_edge_within(g, survivors & vertex_mask(g.n, res.mis))
+    if pair is not None:
+        u, v = pair
+        raise VerificationError(
+            f"surviving MIS vertices {u} and {v} are adjacent"
+        )
 
 
 def check_matching(g, res, alive: set[int]) -> None:

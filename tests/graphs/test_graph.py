@@ -224,6 +224,33 @@ class TestFromCsr:
             g.neighbors(v) for v in g.vertices()
         ]
 
+    def test_object_layer_matches_constructor_twin(self):
+        g = Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (0, 4)])  # 5, 6 isolated
+        offsets, indices = g.csr(dtype="auto")
+        h = Graph.from_csr(offsets, indices)
+        assert h.edges() == g.edges()
+        assert all(type(x) is int for e in h.edges() for x in e)
+        for v in g.vertices():
+            assert h.neighbors(v) == g.neighbors(v)
+            assert h.neighbor_set(v) == g.neighbor_set(v)
+            assert h.degree(v) == g.degree(v)
+            for u in g.vertices():
+                assert h.has_edge(u, v) == g.has_edge(u, v)
+        assert h == g and hash(h) == hash(g)
+        assert h.connected_components() == g.connected_components()
+        assert h.subgraph([0, 2, 4, 6]) == g.subgraph([0, 2, 4, 6])
+
+    def test_edges_builds_only_the_edge_tuple(self):
+        from repro.graphs import generators as gen
+
+        g = gen.forest_union_csr(300, 3, seed=4)
+        g.edges()
+        assert g._adj is None and g._adj_sets is None and g._csr_rows is None
+        g.neighbors(0)
+        assert g._adj is not None and g._adj_sets is None
+        g.has_edge(0, 1)
+        assert g._adj_sets is not None and g._csr_rows is None
+
     def test_invalid_csr_rejected(self):
         import numpy as np
 
@@ -237,3 +264,14 @@ class TestFromCsr:
             Graph.from_csr(np.array([0, 2, 1, 4]), np.array([1, 2, 0, 0]))
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_csr(np.array([0, 1, 2]), np.array([1, 5]))
+        # a self-loop row would count towards m but not appear in edges()
+        with pytest.raises(ValueError, match="self-loop at vertex 0"):
+            Graph.from_csr(np.array([0, 1, 2]), np.array([0, 1]))
+        # repeated entries would duplicate the edge (Graph(2, [(0, 1)]) has m == 1)
+        with pytest.raises(ValueError, match="row 0 is not strictly ascending"):
+            Graph.from_csr(np.array([0, 2, 4]), np.array([1, 1, 0, 0]))
+        with pytest.raises(ValueError, match="row 1 is not strictly ascending"):
+            Graph.from_csr(np.array([0, 1, 3, 4]), np.array([1, 2, 0, 1]))
+        # a row may start below where the previous one ended
+        g = Graph.from_csr(np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]))
+        assert g.edges() == ((0, 1), (1, 2))

@@ -240,6 +240,25 @@ class TestFaults:
             ex.validate(g)
 
 
+class TestCsrValidation:
+    """Partition and MIS validation of a CSR-built graph stays on its CSR
+    view: none of the Python-object adjacency gets built."""
+
+    @pytest.mark.parametrize("name", ["partition", "luby-mis"])
+    @pytest.mark.parametrize("crashes", [None, CrashSpec(hazard=0.01)])
+    def test_validate_leaves_object_layer_unbuilt(self, name, crashes):
+        g = gen.forest_union_csr(3000, 3, seed=2)
+        ids = gen.permutation_ids(g.n, seed=2)
+        plan = None if crashes is None else FaultPlan(seed=2, crashes=crashes)
+        ex = zoo.execute(name, g, 3, ids, 2, engine="bulk", faults=plan)
+        assert ex.faulted == (crashes is not None)
+        if ex.faulted:
+            assert ex.crashed  # this seed does crash vertices
+        g.edges()
+        ex.validate(g)
+        assert g._adj is None and g._adj_sets is None and g._csr_rows is None
+
+
 class TestErrors:
     def _broken_spec(self):
         def chokes(g, ids=None, a=None):
