@@ -2,13 +2,19 @@
 
 Each ``bulk_*`` function is the vectorized twin of a generator driver:
 same signature surface, same result type, **bit-identical** outputs and
-round accounting (the three-way differential suite pins this).  State
-lives in numpy arrays indexed by vertex; one synchronous round is a few
-array operations over the cached CSR view, so n = 10^6 runs complete in
-seconds where the generator engines would step a million coroutines per
-round.
+round accounting (the three-way differential suite pins this).  Every
+algorithm has exactly one columnar implementation, its kernel in
+:data:`repro.core.shard.SHARD_KERNELS`, and every kind of bulk run goes
+through it: in-process (through ``LocalComm``) or sharded under a
+:func:`~repro.runtime.shard.shard_session`, clean or under a
+:func:`repro.faults.session`.  A driver resolves the IDs and builds the
+kernel params, adds the fault plan's params when one is installed,
+executes the kernel and finishes through :func:`_finish`.  Crash-stop
+and message-drop plans replay bit-identically to the fast engine;
+duplicate/delay plans are rejected up front (see
+docs/fault_tolerance.md).
 
-The accounting rule shared by all drivers (mirroring the fast engine):
+The accounting rule every kernel implements (mirroring the fast engine):
 at round r, a terminating vertex's broadcast is routed to every neighbor
 not yet *known* halted -- i.e. with final termination round 0/unset,
 ``== r`` (same-round, routed then dropped) or ``> r`` -- and the round's
@@ -17,99 +23,87 @@ notice per vertex terminating this round.
 
 Only :data:`BULK_DRIVERS` entries run on the bulk engine; the zoo
 mirrors this registry through ``AlgorithmSpec.bulk_capable`` and
-``zoo.check_registry`` fails on any drift.  Under an installed
-:func:`repro.faults.session`, every driver delegates to its sharded
-twin's fault-aware kernel (session-optional: without a shard session it
-runs in-process), which replays crash-stop and message-drop plans
-bit-identically to the fast engine; duplicate/delay plans are rejected
-up front (see docs/fault_tolerance.md).
+``zoo.check_registry`` fails on any drift.
 """
 
 from __future__ import annotations
 
-from random import Random
 from typing import Any, Sequence
 
 import numpy as np
 
+from repro.core.shard import _execute_kernel, _fault_params
 from repro.graphs.graph import Graph
-from repro.runtime.bulk import (
-    BULK_CHUNK,
-    finalize_run,
-    gather_rows,
-    id_space,
-    profiled,
-    resolve_ids,
-)
-from repro.runtime.network import RoundLimitExceeded
+from repro.runtime.bulk import finalize_run, id_space, resolve_ids
+from repro.runtime.network import RoundLimitExceeded, RunResult
+from repro.runtime.shard import CHECKPOINT_MAX_N, finalize_faulted_run
 
 
-def _faulted() -> bool:
-    """Whether a fault session is installed (-> delegate to the sharded
-    twin's fault-aware kernel instead of the closed-form bulk round)."""
+def _run(
+    kernel: str,
+    name: str,
+    graph: Graph,
+    publish: dict[str, Any],
+    params: dict[str, Any],
+    copy_keys: Sequence[str],
+):
+    """Add the installed fault plan's params (if any) and execute
+    ``kernel``; returns ``(injector or None, payloads, copies)``."""
+    import repro.obs as obs
     from repro.faults.plan import current
 
-    return current() is not None
+    injector = current()
+    if injector is not None:
+        params.update(_fault_params(injector, graph.n, name, obs.current()))
+    payloads, copies = _execute_kernel(kernel, graph, publish, params, copy_keys)
+    return injector, payloads, copies
 
 
-def _account_round(
+def _finish(
+    injector,
+    params: dict[str, Any],
+    payloads: list[dict[str, Any]],
     term: np.ndarray,
-    nbrs: np.ndarray,
-    rnd: int,
-    halts: int,
-    sent: list[int],
-    msgs: list[int],
-    recv: list[int],
-) -> None:
-    """Append one round of the shared accounting rule.
+    outputs: dict[int, Any],
+    max_rounds: int | None,
+) -> RunResult:
+    """The shared tail of every driver: raise the watchdog, hand the
+    session rounds and crashes back to the injector, and fold the
+    per-round totals through the clean or the faulted finalize."""
+    crashes = [rv for p in payloads for rv in p["crashes"]]
+    stuck = [p["watchdog"] for p in payloads if p["watchdog"] is not None]
+    if stuck:
+        if injector is not None:
+            injector.absorb_rounds(
+                payloads[0]["session_rounds"], [v for _r, v in crashes]
+            )
+        raise RoundLimitExceeded(max_rounds, [v for w in stuck for v in w], None)
+    rounds = payloads[0]["rounds"]
+    sent = [r[0] for r in rounds]
+    msgs = [r[1] for r in rounds]
+    recv = [r[2] for r in rounds]
+    if injector is None:
+        return finalize_run(outputs, term, sent, msgs, recv)
+    crash_rounds = dict(sorted((v, r) for r, v in crashes))
+    injector.absorb_rounds(payloads[0]["session_rounds"], list(crash_rounds))
+    return finalize_faulted_run(
+        outputs,
+        term,
+        crash_rounds,
+        params["pre_crashed"],
+        sent,
+        msgs,
+        recv,
+        crashed_all=[v for v in injector.crashed if v < term.size],
+        drops=[d for p in payloads for d in p["drops"]],
+    )
 
-    ``nbrs`` is the concatenated neighbor multiset of this round's
-    senders (every sender broadcasts once), ``halts`` the number of
-    vertices terminating this round.
-    """
-    t = term[nbrs]
-    live = (t == 0) | (t > rnd)
-    counted = int(live.sum())
-    sent.append(counted + int((t == rnd).sum()))
-    msgs.append(counted + halts)
-    recv.append(int(np.unique(nbrs[live]).size))
 
-
-def _account_round_chunked(
-    term: np.ndarray,
-    offsets: np.ndarray,
-    indices: np.ndarray,
-    joiners: np.ndarray,
-    rnd: int,
-    sent: list[int],
-    msgs: list[int],
-    recv: list[int],
-) -> np.ndarray:
-    """Chunked twin of :func:`_account_round` for oversized rounds.
-
-    Processes ``joiners`` in :data:`BULK_CHUNK`-sender chunks, counting
-    distinct live receivers with a boolean scatter mask (equal to the
-    ``np.unique`` count) and accumulating the next round's JOIN-arrival
-    bincount, which is returned so the caller never materialises the full
-    concatenated neighbor multiset.
-    """
-    n = term.size
-    counted = 0
-    same = 0
-    recv_mask = np.zeros(n, dtype=bool)
-    inc = np.zeros(n, dtype=np.int64)
-    for lo in range(0, joiners.size, BULK_CHUNK):
-        nb = gather_rows(offsets, indices, joiners[lo : lo + BULK_CHUNK])
-        t = term[nb]
-        live = (t == 0) | (t > rnd)
-        counted += int(live.sum())
-        same += int((t == rnd).sum())
-        recv_mask[nb[live]] = True
-        inc += np.bincount(nb, minlength=n)
-    sent.append(counted + same)
-    msgs.append(counted + int(joiners.size))
-    recv.append(int(recv_mask.sum()))
-    return inc
+def _decided(term: np.ndarray, values: list) -> dict[int, Any]:
+    """``{v: values[v]}`` over the vertices that terminated."""
+    if term.all():
+        return dict(enumerate(values))
+    return {v: values[v] for v in np.flatnonzero(term).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -132,58 +126,24 @@ def bulk_partition(
     from repro.core.common import degree_bound, partition_length_bound
     from repro.core.partition import PartitionResult
 
-    if _faulted():
-        from repro.core.shard import sharded_partition
-
-        return sharded_partition(
-            graph, a, eps=eps, ids=ids, seed=seed, max_rounds=max_rounds
-        )
     n = graph.n
     resolve_ids(graph, ids)  # IDs only validate; Partition is ID-oblivious
     A = degree_bound(a, eps)
     if max_rounds is None:
         max_rounds = partition_length_bound(n, eps) + 4
-    offsets, indices = graph.csr(dtype="auto")
-    deg = (offsets[1:] - offsets[:-1]).astype(np.int64)
-
-    term = np.zeros(n, dtype=np.int64)
-    heard = np.zeros(n, dtype=np.int64)
-    sent: list[int] = []
-    msgs: list[int] = []
-    recv: list[int] = []
-    active = np.arange(n, dtype=np.int64)
-    inc = None
-    rnd = 0
-    with profiled("kernel"):
-        while active.size:
-            rnd += 1
-            if rnd > max_rounds:
-                raise RoundLimitExceeded(max_rounds, active.tolist(), None)
-            if inc is not None:
-                # JOIN broadcasts from last round's joiners arrive now
-                heard += inc
-                inc = None
-            join = (deg[active] - heard[active]) <= A
-            joiners = active[join]
-            term[joiners] = rnd
-            if joiners.size <= BULK_CHUNK:
-                nbrs = gather_rows(offsets, indices, joiners)
-                _account_round(
-                    term, nbrs, rnd, int(joiners.size), sent, msgs, recv
-                )
-                if nbrs.size:
-                    inc = np.bincount(nbrs, minlength=n)
-            else:
-                # Chunked pass: identical accounting, scratch bounded by
-                # the chunk's degree mass instead of the round's.
-                inc = _account_round_chunked(
-                    term, offsets, indices, joiners, rnd, sent, msgs, recv
-                )
-            active = active[~join]
-
-    outputs = {v: int(term[v]) for v in range(n)}
-    res = finalize_run(outputs, term, sent, msgs, recv)
-    return PartitionResult(h_index=dict(res.outputs), A=A, metrics=res.metrics)
+    params = {
+        "n": n,
+        "A": A,
+        "max_rounds": max_rounds,
+        "checkpoint": n <= CHECKPOINT_MAX_N,
+    }
+    injector, payloads, copies = _run(
+        "partition", "partition", graph, {"term": ((n,), np.int64)}, params, ("term",)
+    )
+    term = copies["term"]
+    h_index = _decided(term, term.tolist())
+    res = _finish(injector, params, payloads, term, h_index, max_rounds)
+    return PartitionResult(h_index=h_index, A=A, metrics=res.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +157,7 @@ def bulk_luby_mis(
     seed: int = 0,
     max_rounds: int | None = None,
 ):
-    """Columnar Luby MIS in lockstep attempts.
+    """Columnar Luby MIS in round lockstep.
 
     Attempt k: every alive vertex draws its k-th ``Random(f"{seed}:{id}:
     seed").random()`` value (the same per-vertex stream the generator
@@ -206,95 +166,37 @@ def bulk_luby_mis(
     round 2k+1 their alive neighbors leave and terminate.
 
     Memory note: each alive vertex holds one ``random.Random`` instance,
-    created lazily on its first draw and released when it decides --
-    worst case (attempt 1, everyone alive) that is n Mersenne states, so
-    prefer :func:`bulk_partition` as the n = 10^6 showcase.
+    created lazily on its first draw -- worst case (attempt 1, everyone
+    alive) that is n Mersenne states, so prefer :func:`bulk_partition` as
+    the n = 10^6 showcase.
     """
-    if _faulted():
-        from repro.core.shard import sharded_luby_mis
-
-        return sharded_luby_mis(graph, ids=ids, seed=seed, max_rounds=max_rounds)
     from repro.core.extension import MISResult
 
     n = graph.n
     ids_arr = resolve_ids(graph, ids)
     if max_rounds is None:
         max_rounds = 64 * (n.bit_length() + 4) + 64
-    offsets, indices = graph.csr(dtype="auto")
-    deg = (offsets[1:] - offsets[:-1]).astype(np.int64)
-
-    rngs: list[Random | None] = [None] * n
-    rand = np.zeros(n, dtype=np.float64)
-    alive = np.ones(n, dtype=bool)
-    term = np.zeros(n, dtype=np.int64)
-    outputs: dict[int, Any] = {}
-    sent: list[int] = []
-    msgs: list[int] = []
-    recv: list[int] = []
-    prev_l = np.zeros(0, dtype=np.int64)  # losers announcing next round
-    k = 0
-    with profiled("kernel"):
-        while alive.any():
-            k += 1
-            r1 = 2 * k - 1
-            act = np.flatnonzero(alive)
-            if r1 > max_rounds:
-                raise RoundLimitExceeded(
-                    max_rounds, np.concatenate((act, prev_l)).tolist(), None
-                )
-            for v in act:
-                rng = rngs[v]
-                if rng is None:
-                    rng = rngs[v] = Random(f"{seed}:{int(ids_arr[v])}:seed")
-                rand[v] = rng.random()
-            # round 2k-1: alive vertices broadcast priorities; last
-            # attempt's losers broadcast their leave announcement and
-            # terminate
-            nb = gather_rows(offsets, indices, np.concatenate((act, prev_l)))
-            _account_round(term, nb, r1, int(prev_l.size), sent, msgs, recv)
-
-            # round 2k: win check -- beat every alive neighbor on
-            # (rand, id)
-            r2 = 2 * k
-            if r2 > max_rounds:
-                raise RoundLimitExceeded(max_rounds, act.tolist(), None)
-            sr = np.repeat(act, deg[act])
-            nb2 = gather_rows(offsets, indices, act)
-            am = alive[nb2]
-            sr_a, nb_a = sr[am], nb2[am]
-            beat = (rand[nb_a] > rand[sr_a]) | (
-                (rand[nb_a] == rand[sr_a]) & (ids_arr[nb_a] > ids_arr[sr_a])
-            )
-            beaten = np.bincount(sr_a[beat], minlength=n).astype(bool)
-            winners = np.flatnonzero(alive & ~beaten)
-            term[winners] = r2
-            alive[winners] = False
-            for v in winners:
-                outputs[int(v)] = (k, True)
-                rngs[v] = None
-            nbw = gather_rows(offsets, indices, winners)
-            lmask = np.zeros(n, dtype=bool)
-            lmask[nbw[alive[nbw]]] = True
-            _account_round(term, nbw, r2, int(winners.size), sent, msgs, recv)
-
-            losers = np.flatnonzero(lmask)
-            term[losers] = r2 + 1
-            alive[losers] = False
-            for v in losers:
-                outputs[int(v)] = (k, False)
-                rngs[v] = None
-            prev_l = losers
-        if prev_l.size:
-            # the final losers announce + terminate one round after the
-            # loop
-            r = 2 * k + 1
-            nb = gather_rows(offsets, indices, prev_l)
-            _account_round(term, nb, r, int(prev_l.size), sent, msgs, recv)
-
-    res = finalize_run(outputs, term, sent, msgs, recv)
+    params = {"n": n, "seed": seed, "max_rounds": max_rounds}
+    injector, payloads, copies = _run(
+        "luby",
+        "luby MIS",
+        graph,
+        {
+            "term": ((n,), np.int64),
+            "rand": ((n,), np.float64),
+            "lastp": ((n,), np.int64),
+            "ids": ids_arr,
+        },
+        params,
+        ("term",),
+    )
+    term = copies["term"]
+    # winners of attempt k terminate at round 2k, losers at 2k+1
+    in_mis = _decided(term, (term % 2 == 0).tolist())
+    res = _finish(injector, params, payloads, term, in_mis, max_rounds)
     return MISResult(
-        in_mis={v: flag for v, (att, flag) in res.outputs.items()},
-        h_index={v: att for v, (att, flag) in res.outputs.items()},
+        in_mis=in_mis,
+        h_index=_decided(term, (term // 2).tolist()),
         metrics=res.metrics,
     )
 
@@ -310,65 +212,40 @@ def bulk_ring_three_coloring(
     ids: Sequence[int] | None = None,
     seed: int = 0,
 ):
-    """Columnar Cole-Vishkin: the bit tricks vectorize directly.
-
-    Each halving step is ``diff = c ^ c[succ]``; the lowest set bit index
-    comes from ``log2(diff & -diff)`` (exact in float64 for any index
-    < 53, far beyond real ID spaces).  Three greedy recolor rounds
-    (classes 5, 4, 3) finish the {0..5} -> {0..2} reduction.
+    """Columnar Cole-Vishkin: the halving steps, then three greedy
+    recolor rounds (classes 5, 4, 3) finish the {0..5} -> {0..2}
+    reduction.
 
     ``successor`` must already be validated (the ``run_ring_three_
     coloring`` wrapper dispatches here after its checks).
     """
-    if _faulted():
-        from repro.core.shard import sharded_ring_three_coloring
-
-        return sharded_ring_three_coloring(graph, successor, ids=ids, seed=seed)
     from repro.baselines.cole_vishkin import _cv_steps
     from repro.core.coloring import ColoringResult
 
     n = graph.n
     ids_arr = resolve_ids(graph, ids)
-    offsets, indices = graph.csr(dtype="auto")
-    deg = (offsets[1:] - offsets[:-1]).astype(np.int64)
-    m2 = int(indices.size)
-    steps = _cv_steps(id_space(ids_arr))
-
-    c = ids_arr.copy()
-    if n:
-        with profiled("kernel"):
-            succ = np.asarray(list(successor), dtype=np.int64)
-            for _ in range(steps):
-                cs = c[succ]
-                diff = c ^ cs
-                low = diff & -diff
-                i = np.log2(low.astype(np.float64)).astype(np.int64)
-                c = 2 * i + ((c >> i) & 1)
-            src = np.repeat(np.arange(n, dtype=np.int64), deg)
-            for cls in (5, 4, 3):
-                nbc = c[indices]
-                used0 = np.zeros(n, dtype=bool)
-                used0[src[nbc == 0]] = True
-                used1 = np.zeros(n, dtype=bool)
-                used1[src[nbc == 1]] = True
-                pick = np.where(~used0, 0, np.where(~used1, 1, 2))
-                c = np.where(c == cls, pick, c)
-
-    rounds_total = steps + 4
-    if n:
-        term = np.full(n, rounds_total, dtype=np.int64)
-        n_recv = int((deg > 0).sum())
-        sent = [m2] * (rounds_total - 1) + [0]
-        msgs = [m2] * (rounds_total - 1) + [n]
-        recv = [n_recv] * (rounds_total - 1) + [0]
-    else:
-        term = np.zeros(0, dtype=np.int64)
-        sent, msgs, recv = [], [], []
-    outputs = {v: (1, int(c[v])) for v in range(n)}
-    res = finalize_run(outputs, term, sent, msgs, recv)
+    params = {"n": n, "steps": _cv_steps(id_space(ids_arr))}
+    injector, payloads, copies = _run(
+        "cole_vishkin",
+        "ring 3-coloring",
+        graph,
+        {
+            "colors": ((2, n), np.int64),
+            "bstamp": ((n,), np.int64),
+            "term": ((n,), np.int64),
+            "col": ((n,), np.int64),
+            "succ": np.asarray(successor, dtype=np.int64),
+            "ids": ids_arr,
+        },
+        params,
+        ("term", "col"),
+    )
+    term = copies["term"]
+    colors = _decided(term, copies["col"].tolist())
+    res = _finish(injector, params, payloads, term, colors, None)
     return ColoringResult(
-        colors={v: col for v, (h, col) in res.outputs.items()},
-        h_index={v: h for v, (h, col) in res.outputs.items()},
+        colors=colors,
+        h_index=dict.fromkeys(colors, 1),
         metrics=res.metrics,
         palette_bound=3,
     )
@@ -386,21 +263,9 @@ def bulk_defective_coloring(
     ids: Sequence[int] | None = None,
     seed: int = 0,
 ):
-    """Columnar d-defective coloring.
-
-    The schedule's cover-free ``fam.pick`` decisions stay per-vertex
-    Python calls (they are small combinatorial lookups), but all rounds
-    advance in one simultaneous pass per family step over the CSR rows
-    -- the lockstep the generator's self-synchronizing loop converges to
-    on a whole graph.  Accounting: K broadcast rounds (isolated vertices
-    finish all their picks in round 1), then one terminating round.
-    """
-    if _faulted():
-        from repro.core.shard import sharded_defective_coloring
-
-        return sharded_defective_coloring(
-            graph, d, degree_limit=degree_limit, ids=ids, seed=seed
-        )
+    """Columnar d-defective coloring: the self-synchronizing schedule of
+    cover-free ``fam.pick`` steps, one array pass per round around the
+    per-vertex picks."""
     from repro.core.defective import DefectiveColoringResult, defective_schedule
 
     n = graph.n
@@ -410,38 +275,28 @@ def bulk_defective_coloring(
     space = id_space(ids_arr)
     schedule = defective_schedule(space, A, d)
     bound = schedule[-1].ground_size if schedule else space
-
-    rows = graph.csr_rows()
-    colors = [int(x) for x in ids_arr]
-    with profiled("kernel"):
-        for fam in schedule:
-            colors = [
-                fam.pick(colors[v], [colors[u] for u in rows[v]])
-                for v in range(n)
-            ]
-
-    steps = len(schedule)
-    offsets, indices = graph.csr(dtype="auto")
-    deg = (offsets[1:] - offsets[:-1]).astype(np.int64)
-    m2 = int(indices.size)
-    n_iso = int((deg == 0).sum())
-    n_ni = n - n_iso
-    term = np.ones(n, dtype=np.int64)
-    if steps and n_ni:
-        term[deg > 0] = steps + 1
-        sent = [m2] * steps + [0]
-        msgs = [m2 + n_iso] + [m2] * (steps - 1) + [n_ni]
-        recv = [n_ni] * steps + [0]
-    elif n:
-        # no steps, or no edges: every vertex finishes in round 1
-        sent, msgs, recv = [0], [n], [0]
-    else:
-        term = np.zeros(0, dtype=np.int64)
-        sent, msgs, recv = [], [], []
-    outputs = {v: colors[v] for v in range(n)}
-    res = finalize_run(outputs, term, sent, msgs, recv)
+    max_rounds = 4 * len(schedule) + 64
+    params = {"n": n, "space": space, "A": A, "d": d, "max_rounds": max_rounds}
+    injector, payloads, copies = _run(
+        "defective",
+        "defective coloring",
+        graph,
+        {
+            "ustep": ((2, n), np.int64),
+            "ucol": ((2, n), np.int64),
+            "ulast": ((n,), np.int64),
+            "term": ((n,), np.int64),
+            "col": ((n,), np.int64),
+            "ids": ids_arr,
+        },
+        params,
+        ("term", "col"),
+    )
+    term = copies["term"]
+    colors = _decided(term, copies["col"].tolist())
+    res = _finish(injector, params, payloads, term, colors, max_rounds)
     return DefectiveColoringResult(
-        colors=dict(res.outputs),
+        colors=colors,
         metrics=res.metrics,
         palette_bound=bound,
         defect_bound=d,

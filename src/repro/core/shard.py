@@ -1,32 +1,36 @@
-"""Sharded (multi-process BSP) drivers for the bulk-capable algorithms.
+"""The columnar kernels: one per bulk-capable algorithm.
 
-Each ``sharded_*`` driver is the shard-parallel twin of a
-:mod:`repro.core.bulk` columnar driver: same signature surface, same
-result type, **bit-identical** outputs and round accounting for any
-shard count (the matrix in ``tests/runtime/test_shard.py`` pins
-sharded == bulk == fast).  The parent process publishes the CSR view and
-cross-shard state via :class:`repro.runtime.shard.SharedArrays`, workers
-run :data:`SHARD_KERNELS` entries over contiguous vertex ranges, and the
-parent folds the merged results through the same ``finalize`` accounting
-the unsharded engine uses.
+Every bulk-engine run executes exactly one entry of :data:`SHARD_KERNELS`
+— in-process or sharded, clean or under a crash-stop / message-drop
+plan.  The drivers in :mod:`repro.core.bulk` build the kernel params and
+call :func:`_execute_kernel`: without a shard session the kernel runs
+inline through :class:`~repro.runtime.shard.LocalComm` (a no-op
+one-shard comm); under :func:`~repro.runtime.shard.shard_session` the
+parent publishes the CSR view and cross-shard state via
+:class:`repro.runtime.shard.SharedArrays` and workers run the same
+kernel over contiguous vertex ranges.  Bulk == sharded(k) for every k
+therefore holds by construction, and the equivalence matrices pin both
+to the fast engine.
 
 The owner-computes translation of message passing
 -------------------------------------------------
-The bulk drivers account rounds **sender-side**: gather the joiners'
-CSR rows and bucket each copy by the receiver's termination state.  A
-worker cannot scatter into another shard's state, so the sharded kernels
-evaluate the identical sums **receiver-side**: after the round barrier a
-shard scans the rows of its own still-relevant vertices (active, crashed
-or terminating this round) and counts neighbors that broadcast this
-round.  Undirected adjacency makes the two pair-sets equal, and every
-receiver is owned by exactly one shard, so per-shard partial sums
-allreduce to exactly the unsharded totals — including the distinct-
-receiver count, which decomposes by ownership.
+A worker cannot scatter into another shard's state, so every kernel
+accounts rounds **receiver-side**: after the round barrier a shard scans
+the CSR rows of its own still-relevant vertices (running, crashed or
+terminating this round) and counts, per row, the copies its neighbors
+broadcast this round.  Undirected adjacency makes these the same
+(sender, receiver) pairs the fast engine routes, and every receiver is
+owned by exactly one shard, so per-shard partial sums allreduce to
+exactly the unsharded totals — including the distinct-receiver count,
+which decomposes by ownership.  The per-row counts come from one
+cumulative sum over the gathered rows (:func:`_row_sums`), never from a
+sort.
 
 Fault draws (crash hazard, message drop) are pure counter-based
 functions of ``(seed, session round, vertex)`` / ``(..., src, dst, k)``
 (:mod:`repro.faults.plan`), so workers evaluate them locally and the
-injected stream is invariant under the shard count.
+injected stream is invariant under the shard count.  A clean run is the
+same code with no crash spec and a zero drop rate.
 """
 
 from __future__ import annotations
@@ -37,44 +41,57 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.runtime.bulk import (
-    BulkUnsupported,
-    finalize_run,
-    gather_rows,
-    id_space,
-    profiled,
-    resolve_ids,
-)
-from repro.runtime.network import RoundLimitExceeded
+from repro.runtime.bulk import BULK_CHUNK, BulkUnsupported, profiled, row_slots
 from repro.runtime.shard import (
-    CHECKPOINT_MAX_N,
     LocalComm,
     SharedArrays,
     ShardTask,
     chaos_kill_hook,
     current_shards,
-    finalize_faulted_run,
     resolve_bounds,
     run_sharded,
 )
 
 
-def _local_deg(offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    return (offsets[lo + 1 : hi + 1] - offsets[lo:hi]).astype(np.int64)
-
-
-def _launch(
+def _execute_kernel(
     kernel: str,
     graph: Graph,
     publish: dict[str, Any],
     params: dict[str, Any],
     copy_keys: Sequence[str] = (),
-) -> tuple[list[Any], dict[str, np.ndarray], list[int]]:
-    """Partition, publish, run one kernel, copy results out, clean up."""
-    session = current_shards()
-    assert session is not None, "sharded driver called without a shard session"
-    bounds = resolve_bounds(graph, session)
+) -> tuple[list[Any], dict[str, np.ndarray]]:
+    """Run one kernel sharded *or* in-process, per the active session.
+
+    ``publish`` maps each kernel-visible array to its initial value, or
+    to a ``(shape, dtype)`` request for a zero-filled one; ``copy_keys``
+    name the arrays copied out after the run.  Returns the per-shard
+    payloads and those copies.
+    """
     offsets, indices = graph.csr(dtype="auto")
+    session = current_shards()
+    if session is None:
+        n = graph.n
+        views: dict[str, np.ndarray] = {"offsets": offsets, "indices": indices}
+        for key, val in publish.items():
+            if isinstance(val, np.ndarray):
+                views[key] = val.copy()
+            else:
+                shape, dtype = val
+                views[key] = np.zeros(shape, dtype=dtype)
+        task = ShardTask(
+            idx=0,
+            lo=0,
+            hi=n,
+            bounds=[0, n],
+            comm=LocalComm(),
+            views=views,
+            params=params,
+        )
+        with profiled("kernel"):
+            payload = SHARD_KERNELS[kernel](task)
+        return [payload], {key: views[key] for key in copy_keys}
+
+    bounds = resolve_bounds(graph, session)
     shared = SharedArrays()
     try:
         # parent-side cost of getting data into shared memory; the
@@ -92,95 +109,248 @@ def _launch(
         copies = {key: shared.views[key].copy() for key in copy_keys}
     finally:
         shared.cleanup()
-    return payloads, copies, bounds
+    return payloads, copies
 
 
-def _execute_kernel(
-    kernel: str,
-    graph: Graph,
-    publish: dict[str, Any],
-    params: dict[str, Any],
-    copy_keys: Sequence[str] = (),
-) -> tuple[list[Any], dict[str, np.ndarray], list[int]]:
-    """Run one kernel sharded *or* in-process, per the active session.
-
-    Without a shard session the kernel runs inline over plain numpy
-    arrays through :class:`~repro.runtime.shard.LocalComm` (a no-op
-    one-shard comm) — this is how the unsharded bulk engine executes the
-    faulted kernels, so bulk == sharded(1) **by construction**: the
-    decision code is literally the same.
-    """
-    session = current_shards()
-    if session is not None:
-        return _launch(kernel, graph, publish, params, copy_keys)
-    n = graph.n
-    offsets, indices = graph.csr(dtype="auto")
-    views: dict[str, np.ndarray] = {"offsets": offsets, "indices": indices}
-    for key, val in publish.items():
-        if isinstance(val, np.ndarray):
-            views[key] = val.copy()
-        else:
-            shape, dtype = val
-            views[key] = np.zeros(shape, dtype=dtype)
-    task = ShardTask(
-        idx=0,
-        lo=0,
-        hi=n,
-        bounds=[0, n],
-        comm=LocalComm(),
-        views=views,
-        params=params,
-    )
-    with profiled("kernel"):
-        payload = SHARD_KERNELS[kernel](task)
-    return [payload], {key: views[key] for key in copy_keys}, [0, n]
+def _fault_params(injector, n: int, name: str, bus) -> dict[str, Any]:
+    """The fault-plan -> kernel-params translation: crash-stop and
+    message-drop plans are evaluated inside the kernels via the pure
+    counter-based draws; duplicate/delay plans have no receiver-side
+    replay and are rejected up front."""
+    plan = injector.plan
+    mf = plan.messages
+    if mf is not None and (mf.duplicate or mf.delay):
+        raise BulkUnsupported(
+            f"{name} supports crash-stop and message-drop faults only; "
+            "duplicate/delay plans need the 'fast' or 'reference' engine"
+        )
+    pre_crashed = sorted(v for v in injector.begin_run(None) if v < n)
+    params: dict[str, Any] = {
+        "fault_seed": plan.seed,
+        "round_offset": injector._round,
+        "pre_crashed": pre_crashed,
+    }
+    if plan.crashes is not None and plan.crashes.active:
+        params["crashes"] = {
+            "at": dict(plan.crashes.at),
+            "hazard": plan.crashes.hazard,
+        }
+    if mf is not None and mf.drop:
+        params["drop"] = mf.drop
+        params["record_drops"] = bus is not None and bus.active
+    return params
 
 
 # ---------------------------------------------------------------------------
-# Procedure Partition — with optional crash-stop / message-drop adversary
+# Shared kernel machinery
+# ---------------------------------------------------------------------------
+
+
+class _Adversary:
+    """A kernel's view of the fault plan in its params (absent keys: a
+    clean run — no crash spec, drop rate 0)."""
+
+    def __init__(self, p: dict[str, Any]) -> None:
+        from repro.faults.plan import CrashSpec
+
+        self.seed = p.get("fault_seed", 0)
+        self.crashes = CrashSpec(**p["crashes"]) if p.get("crashes") else None
+        self.drop = p.get("drop", 0.0)
+        self.record = bool(p.get("record_drops"))
+        self.offset = p.get("round_offset", 0)
+
+    def strike(
+        self, running: np.ndarray, lo: int, rnd: int, records: list, comm
+    ) -> tuple[np.ndarray, int]:
+        """Draw round ``rnd``'s crashes among the own ``running`` mask,
+        retire them and log ``(rnd, v)``; returns their local indices and
+        the number crashed across all shards."""
+        srnd = self.offset + rnd
+        newly = np.asarray(
+            [
+                i
+                for i in np.flatnonzero(running).tolist()
+                if self.crashes.strikes(self.seed, srnd, lo + i)
+            ],
+            dtype=np.int64,
+        )
+        running[newly] = False
+        records.extend((rnd, lo + i) for i in newly.tolist())
+        (crashed,) = comm.allreduce(newly.size)
+        return newly, crashed
+
+    def kept(
+        self,
+        srnd: int,
+        us: np.ndarray,
+        ws: np.ndarray,
+        ks: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Survival mask of the copies ``us[j] -> ws[j]`` (copy index
+        ``ks[j]``, default 0) sent in session round ``srnd``."""
+        from repro.faults.plan import drop_fate
+
+        if ks is None:
+            ks = np.zeros(us.size, dtype=np.int64)
+        return np.fromiter(
+            (
+                not drop_fate(self.seed, srnd, u, w, k, self.drop)
+                for u, w, k in zip(us.tolist(), ws.tolist(), ks.tolist())
+            ),
+            dtype=bool,
+            count=us.size,
+        )
+
+    def survivors(
+        self,
+        rnd: int,
+        k: np.ndarray,
+        nbs: np.ndarray,
+        owners: np.ndarray,
+        log: list | None = None,
+    ) -> np.ndarray:
+        """Per edge j, how many of the ``k[j]`` copies ``nbs[j] ->
+        owners[j]`` sent in round ``rnd`` (copy indices ``0..k[j]-1``)
+        get through; each drop is logged to ``log`` as ``(rnd, src,
+        dst)`` when drops are recorded."""
+        copy, kidx = _copies(k.astype(np.int64))
+        keep = self.kept(self.offset + rnd, nbs[copy], owners[copy], kidx)
+        if log is not None and self.record:
+            lost = copy[~keep]
+            log.extend(
+                zip([rnd] * lost.size, nbs[lost].tolist(), owners[lost].tolist())
+            )
+        return np.bincount(copy[keep], minlength=k.size)
+
+
+def _copies(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expand per-edge copy counts ``k``: each copy's edge and its index
+    within the edge's batch."""
+    copy = np.repeat(np.arange(k.size), k)
+    return copy, np.arange(copy.size) - np.repeat(np.cumsum(k) - k, k)
+
+
+def _running(p: dict[str, Any], lo: int, hi: int) -> tuple[np.ndarray, int]:
+    """The own still-running mask and the global running count, after
+    the fault session's earlier crashes."""
+    pre = p.get("pre_crashed", ())
+    running = np.ones(hi - lo, dtype=bool)
+    running[[v - lo for v in pre if lo <= v < hi]] = False
+    return running, p["n"] - len(pre)
+
+
+def _rows(
+    offsets: np.ndarray, indices: np.ndarray, rows: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR rows of own vertices ``rows`` (sorted global ids in
+    ``[lo, hi)``): neighbors, row lengths and edge slots relative to the
+    shard's first edge."""
+    e_lo = int(offsets[lo])
+    if rows.size == hi - lo:  # every own row: one contiguous slice
+        e_hi = int(offsets[hi])
+        cnt = (offsets[lo + 1 : hi + 1] - offsets[lo:hi]).astype(np.int64)
+        return indices[e_lo:e_hi], cnt, np.arange(e_hi - e_lo, dtype=np.int64)
+    pos, cnt = row_slots(offsets, rows)
+    return indices[pos], cnt, pos - e_lo
+
+
+def _row_sums(vals: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """Per-row sums of an edge-aligned array laid out row after row (row
+    ``i`` spans the next ``cnt[i]`` entries)."""
+    c = np.zeros(vals.size + 1, dtype=np.int64)
+    np.cumsum(vals, out=c[1:])
+    ends = np.cumsum(cnt)
+    return c[ends] - c[ends - cnt]
+
+
+def _tally(got: np.ndarray, t_rows: np.ndarray, rnd: int) -> tuple[int, int, int]:
+    """Round ``rnd``'s accounting from per-receiver delivered counts:
+    copies to still-running receivers, copies to receivers terminating
+    this round (routed, then dropped), distinct running receivers."""
+    live = t_rows == 0
+    g_live = got[live]
+    return (
+        int(g_live.sum()),
+        int(got[t_rows == rnd].sum()),
+        int(np.count_nonzero(g_live)),
+    )
+
+
+def _close_round(
+    task: ShardTask,
+    adv: _Adversary,
+    rnd: int,
+    sent,
+    halts_own: int,
+    running: np.ndarray,
+    log: list,
+) -> tuple[tuple[int, int, int, int], int]:
+    """Round ``rnd``'s receiver-side accounting over the own rows that
+    still receive (running, crashed, or terminating this round), then the
+    allreduce.  ``sent(nbs)`` gives the copies each neighbor broadcast
+    this round, per edge.  Returns the round's ``(sent, msgs, receivers,
+    halts)`` record and the global running count."""
+    lo, hi = task.lo, task.hi
+    own_term = task.views["term"][lo:hi]
+    cand = np.flatnonzero((own_term == 0) | (own_term == rnd))
+    counted = same = recv_loc = 0
+    if cand.size:
+        rows = cand + lo
+        nbs, cnt, _slots = _rows(
+            task.views["offsets"], task.views["indices"], rows, lo, hi
+        )
+        k = sent(nbs)
+        if adv.drop:
+            k = adv.survivors(rnd, k, nbs, np.repeat(rows, cnt), log)
+        counted, same, recv_loc = _tally(_row_sums(k, cnt), own_term[cand], rnd)
+    g = task.comm.allreduce(
+        counted, same, recv_loc, halts_own, int(running.sum())
+    )
+    return (g[0] + g[1], g[0] + g[3], g[2], g[3]), g[4]
+
+
+def _payload(per_round, crashes, drops, watchdog, rnd) -> dict[str, Any]:
+    return {
+        "rounds": per_round,
+        "crashes": crashes,
+        "drops": drops,
+        "watchdog": watchdog,
+        "session_rounds": rnd,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Procedure Partition
 # ---------------------------------------------------------------------------
 
 
 def _kernel_partition(task: ShardTask) -> dict[str, Any]:
     """One shard of Procedure Partition.
 
-    Per round: (A) pull last round's JOINs from neighbor ``term`` state,
-    run the degree-threshold join test, write own terminations; barrier;
-    (B) pull this round's JOIN copies receiver-side for the accounting
-    buckets; allreduce the round totals.  Crash and drop draws replicate
-    the fast engine's adversary via the pure counter-based functions.
+    Per round: (A) the degree-threshold join test against ``heard``, own
+    terminations written; barrier; (B) count this round's JOIN copies per
+    own row — the accounting buckets, and the JOINs the row hears next
+    round — in :data:`~repro.runtime.bulk.BULK_CHUNK`-row tiles so the
+    gathered temporaries stay bounded at n = 10^7; allreduce the round
+    totals.  Streams per-round checkpoints when the executor asks.
     """
-    from repro.faults.plan import CrashSpec, drop_fate
-
     p = task.params
     offsets = task.views["offsets"]
     indices = task.views["indices"]
     term = task.views["term"]
     lo, hi = task.lo, task.hi
     comm = task.comm
-    n = p["n"]
     A = p["A"]
     max_rounds = p["max_rounds"]
-    fseed = p["fault_seed"]
-    crash_spec = CrashSpec(**p["crashes"]) if p.get("crashes") else None
-    drop = p.get("drop", 0.0)
-    record_drops = bool(p.get("record_drops"))
-    round_offset = p.get("round_offset", 0)
+    adv = _Adversary(p)
 
-    size = hi - lo
-    deg_loc = _local_deg(offsets, lo, hi)
-    heard = np.zeros(size, dtype=np.int64)
-    alive = np.ones(size, dtype=bool)
-    for v in p.get("pre_crashed", ()):
-        if lo <= v < hi:
-            alive[v - lo] = False
-    dead = np.array(
-        [v for v in p.get("pre_crashed", ()) if lo <= v < hi], dtype=np.int64
-    )
+    deg_loc = (offsets[lo + 1 : hi + 1] - offsets[lo:hi]).astype(np.int64)
+    heard = np.zeros(hi - lo, dtype=np.int64)
+    alive, total_active = _running(p, lo, hi)
+    dead = np.flatnonzero(~alive)  # local indices of crashed vertices
     crash_records: list[tuple[int, int]] = []
     drop_records: list[tuple[int, int, int]] = []
     per_round: list[tuple[int, int, int, int]] = []
-    total_active = n - len(p.get("pre_crashed", ()))
     watchdog = None
     rnd = 0
 
@@ -216,196 +386,45 @@ def _kernel_partition(task: ShardTask) -> dict[str, Any]:
 
     while total_active > 0:
         rnd += 1
-        srnd = round_offset + rnd
         chaos_kill_hook(p, task.idx, rnd)
-        if crash_spec is not None:
-            newly = [
-                v
-                for v in (np.flatnonzero(alive) + lo).tolist()
-                if crash_spec.strikes(fseed, srnd, v)
-            ]
-            if newly:
-                alive[np.asarray(newly, dtype=np.int64) - lo] = False
-                dead = np.concatenate((dead, np.asarray(newly, dtype=np.int64)))
-                crash_records.extend((rnd, v) for v in newly)
-            (total_crashed,) = comm.allreduce(len(newly))
-            total_active -= total_crashed
+        if adv.crashes is not None:
+            newly, crashed = adv.strike(alive, lo, rnd, crash_records, comm)
+            dead = np.concatenate((dead, newly))
+            total_active -= crashed
             if total_active == 0:
                 break
         if rnd > max_rounds:
             watchdog = (np.flatnonzero(alive) + lo).tolist()
             break
 
-        # Phase A: hear last round's JOINs, run the join test, terminate.
-        act_idx = np.flatnonzero(alive)
-        act = act_idx + lo
-        if rnd > 1 and act.size:
-            nb = gather_rows(offsets, indices, act)
-            src = np.repeat(act, deg_loc[act_idx])
-            jm = term[nb] == rnd - 1
-            us, vs = nb[jm], src[jm]
-            if drop and us.size:
-                keep = np.fromiter(
-                    (
-                        not drop_fate(fseed, srnd - 1, int(u), int(v), 0, drop)
-                        for u, v in zip(us.tolist(), vs.tolist())
-                    ),
-                    dtype=bool,
-                    count=us.size,
-                )
-                vs = vs[keep]
-            heard += np.bincount(vs - lo, minlength=size)
-        join = (deg_loc[act_idx] - heard[act_idx]) <= A
-        joiners = act[join]
-        term[joiners] = rnd
-        alive[act_idx[join]] = False
+        # Phase A: join once at most A neighbors are still unjoined.
+        act = np.flatnonzero(alive)
+        join = (deg_loc[act] - heard[act]) <= A
+        joined = act[join]
+        term[joined + lo] = rnd
+        alive[joined] = False
         comm.sync()
 
-        # Phase B: receiver-side accounting of this round's JOIN copies.
-        cand = np.concatenate((act, dead)) if dead.size else act
+        # Phase B: this round's JOIN copies, per receiving row.
+        cand = np.sort(np.concatenate((act, dead))) if dead.size else act
         counted = same = recv_loc = 0
-        if cand.size:
-            nb = gather_rows(offsets, indices, cand)
-            src = np.repeat(cand, deg_loc[cand - lo])
-            jm = term[nb] == rnd
-            us, vs = nb[jm], src[jm]
-            if drop and us.size:
-                keep = np.fromiter(
-                    (
-                        not drop_fate(fseed, srnd, int(u), int(v), 0, drop)
-                        for u, v in zip(us.tolist(), vs.tolist())
-                    ),
-                    dtype=bool,
-                    count=us.size,
-                )
-                if record_drops and not keep.all():
-                    km = ~keep
-                    drop_records.extend(
-                        zip([rnd] * int(km.sum()), us[km].tolist(), vs[km].tolist())
-                    )
-                vs = vs[keep]
-            tv = term[vs]
-            live = tv == 0
-            counted = int(live.sum())
-            same = int((tv == rnd).sum())
-            recv_loc = int(np.unique(vs[live]).size)
-        g = comm.allreduce(
-            counted, same, recv_loc, int(joiners.size), int(alive.sum())
-        )
+        for c0 in range(0, cand.size, BULK_CHUNK):
+            rows = cand[c0 : c0 + BULK_CHUNK] + lo
+            nb, cnt, _slots = _rows(offsets, indices, rows, lo, hi)
+            hit = term[nb] == rnd
+            if adv.drop:
+                hit = adv.survivors(rnd, hit, nb, np.repeat(rows, cnt), drop_records)
+            got = _row_sums(hit, cnt)
+            heard[rows - lo] += got
+            c, s, r = _tally(got, term[rows], rnd)
+            counted, same, recv_loc = counted + c, same + s, recv_loc + r
+        g = comm.allreduce(counted, same, recv_loc, joined.size, int(alive.sum()))
         per_round.append((g[0] + g[1], g[0] + g[3], g[2], g[3]))
         total_active = g[4]
         if task.ckpt is not None:
             task.ckpt(rnd, _blob())
 
-    return {
-        "rounds": per_round,
-        "crashes": crash_records,
-        "drops": drop_records,
-        "watchdog": watchdog,
-        "session_rounds": rnd,
-    }
-
-
-def sharded_partition(
-    graph: Graph,
-    a: int,
-    eps: float = 1.0,
-    ids: Sequence[int] | None = None,
-    seed: int = 0,
-    max_rounds: int | None = None,
-):
-    """Sharded (or, without a session, in-process) Procedure Partition;
-    crash-stop and message-drop plans are supported."""
-    import repro.obs as obs
-    from repro.core.common import degree_bound, partition_length_bound
-    from repro.core.partition import PartitionResult
-    from repro.faults.plan import current
-
-    n = graph.n
-    resolve_ids(graph, ids)  # IDs only validate; Partition is ID-oblivious
-    A = degree_bound(a, eps)
-    if max_rounds is None:
-        max_rounds = partition_length_bound(n, eps) + 4
-
-    bus = obs.current()
-    injector = current()
-    params: dict[str, Any] = {
-        "n": n,
-        "A": A,
-        "max_rounds": max_rounds,
-        "fault_seed": 0,
-        "checkpoint": n <= CHECKPOINT_MAX_N,
-    }
-    pre_crashed: list[int] = []
-    if injector is not None:
-        plan = injector.plan
-        mf = plan.messages
-        if mf is not None and (mf.duplicate or mf.delay):
-            raise BulkUnsupported(
-                "sharded partition supports crash-stop and message-drop "
-                "faults only; duplicate/delay plans need the 'fast' or "
-                "'reference' engine"
-            )
-        pre_crashed = sorted(v for v in injector.begin_run(None) if v < n)
-        params["fault_seed"] = plan.seed
-        params["round_offset"] = injector._round
-        params["pre_crashed"] = pre_crashed
-        if plan.crashes is not None and plan.crashes.active:
-            params["crashes"] = {
-                "at": dict(plan.crashes.at),
-                "hazard": plan.crashes.hazard,
-            }
-        if mf is not None and mf.drop:
-            params["drop"] = mf.drop
-            params["record_drops"] = bus is not None and bus.active
-
-    payloads, copies, _bounds = _execute_kernel(
-        "partition",
-        graph,
-        {"term": ((n,), np.int64)},
-        params,
-        copy_keys=("term",),
-    )
-    term = copies["term"]
-
-    wd = [p["watchdog"] for p in payloads]
-    if any(w is not None for w in wd):
-        if injector is not None:
-            injector.absorb_rounds(
-                payloads[0]["session_rounds"],
-                [v for p in payloads for (_r, v) in p["crashes"]],
-            )
-        active_all = [v for w in wd if w is not None for v in w]
-        raise RoundLimitExceeded(max_rounds, active_all, None)
-
-    rounds = payloads[0]["rounds"]
-    sent = [r[0] for r in rounds]
-    msgs = [r[1] for r in rounds]
-    recv = [r[2] for r in rounds]
-
-    if injector is None:
-        outputs = {v: int(term[v]) for v in range(n)}
-        res = finalize_run(outputs, term, sent, msgs, recv)
-    else:
-        crash_rounds = dict(
-            sorted(((v, r) for p in payloads for (r, v) in p["crashes"]))
-        )
-        injector.absorb_rounds(
-            payloads[0]["session_rounds"], list(crash_rounds)
-        )
-        outputs = {v: int(term[v]) for v in range(n) if term[v] > 0}
-        res = finalize_faulted_run(
-            outputs,
-            term,
-            crash_rounds,
-            pre_crashed,
-            sent,
-            msgs,
-            recv,
-            crashed_all=[v for v in injector.crashed if v < n],
-            drops=[d for p in payloads for d in p.get("drops", ())],
-        )
-    return PartitionResult(h_index=dict(res.outputs), A=A, metrics=res.metrics)
+    return _payload(per_round, crash_records, drop_records, watchdog, rnd)
 
 
 # ---------------------------------------------------------------------------
@@ -414,145 +433,9 @@ def sharded_partition(
 
 
 def _kernel_luby(task: ShardTask) -> dict[str, Any]:
-    """One shard of lockstep Luby MIS.
-
-    Per attempt: draw own priorities (write ``rand``); barrier; account
-    round 2k-1 receiver-side; win-check against neighbor ``rand``/``ids``
-    and write own winner terminations; barrier; account round 2k, retire
-    own winners and losers; allreduce the attempt's totals.  Per-vertex
-    ``random.Random`` streams live only for the shard's own slice.
-    """
-    p = task.params
-    offsets = task.views["offsets"]
-    indices = task.views["indices"]
-    term = task.views["term"]
-    rand = task.views["rand"]
-    alive = task.views["alive"]
-    ids_arr = task.views["ids"]
-    lo, hi = task.lo, task.hi
-    comm = task.comm
-    n = p["n"]
-    seed = p["seed"]
-    max_rounds = p["max_rounds"]
-
-    size = hi - lo
-    deg_loc = _local_deg(offsets, lo, hi)
-    rngs: list[Random | None] = [None] * size
-    per_round: list[tuple[int, int, int, int]] = []
-    prev_l = np.zeros(0, dtype=np.int64)
-    total_alive = n
-    watchdog = None
-    k = 0
-
-    while total_alive > 0:
-        k += 1
-        r1 = 2 * k - 1
-        act_idx = np.flatnonzero(alive[lo:hi])
-        act = act_idx + lo
-        if r1 > max_rounds:
-            watchdog = ("r1", act.tolist(), prev_l.tolist())
-            break
-        for i, v in zip(act_idx.tolist(), act.tolist()):
-            rng = rngs[i]
-            if rng is None:
-                rng = rngs[i] = Random(f"{seed}:{int(ids_arr[v])}:seed")
-            rand[v] = rng.random()
-        comm.sync()
-
-        # round 2k-1: priorities broadcast + previous losers' announce
-        cand = np.concatenate((act, prev_l)) if prev_l.size else act
-        c1 = s1 = rv1 = 0
-        if cand.size:
-            nb = gather_rows(offsets, indices, cand)
-            src = np.repeat(cand, deg_loc[cand - lo])
-            bm = alive[nb] | (term[nb] == r1)
-            vs = src[bm]
-            tv = term[vs]
-            live = tv == 0
-            c1 = int(live.sum())
-            s1 = int((tv == r1).sum())
-            rv1 = int(np.unique(vs[live]).size)
-        h1 = int(prev_l.size)
-
-        # round 2k: win check on (rand, id) against alive neighbors
-        r2 = 2 * k
-        if r2 > max_rounds:
-            watchdog = ("r2", act.tolist(), [])
-            break
-        winners = np.zeros(0, dtype=np.int64)
-        nb2 = src2 = None
-        if act.size:
-            nb2 = gather_rows(offsets, indices, act)
-            src2 = np.repeat(act, deg_loc[act_idx])
-            am = alive[nb2]
-            sr_a, nb_a = src2[am], nb2[am]
-            beat = (rand[nb_a] > rand[sr_a]) | (
-                (rand[nb_a] == rand[sr_a]) & (ids_arr[nb_a] > ids_arr[sr_a])
-            )
-            beaten = np.bincount(sr_a[beat] - lo, minlength=size).astype(bool)
-            winners = act[~beaten[act_idx]]
-            term[winners] = r2
-        comm.sync()
-
-        # account 2k (losers still term 0, matching the bulk call order),
-        # then retire own winners and detect own losers
-        c2 = s2 = rv2 = 0
-        losers = np.zeros(0, dtype=np.int64)
-        if act.size:
-            wm = term[nb2] == r2
-            vs = src2[wm]
-            tv = term[vs]
-            live = tv == 0
-            c2 = int(live.sum())
-            s2 = int((tv == r2).sum())
-            rv2 = int(np.unique(vs[live]).size)
-            alive[winners] = False
-            has_wnb = np.bincount(
-                src2[wm] - lo, minlength=size
-            ).astype(bool)
-            lm = has_wnb[act_idx] & (term[act] == 0)
-            losers = act[lm]
-            term[losers] = r2 + 1
-            alive[losers] = False
-        for i in (winners - lo).tolist():
-            rngs[i] = None
-        for i in (losers - lo).tolist():
-            rngs[i] = None
-        prev_l = losers
-
-        g = comm.allreduce(
-            c1, s1, rv1, h1,
-            c2, s2, rv2, int(winners.size),
-            int(losers.size), int(alive[lo:hi].sum()),
-        )
-        per_round.append((g[0] + g[1], g[0] + g[3], g[2], g[3]))
-        per_round.append((g[4] + g[5], g[4] + g[7], g[6], g[7]))
-        total_losers = g[8]
-        total_alive = g[9]
-
-    if watchdog is None and k and total_losers:
-        # the final losers announce + terminate one round after the loop
-        r = 2 * k + 1
-        s3 = 0
-        own_l = prev_l
-        if own_l.size:
-            nb = gather_rows(offsets, indices, own_l)
-            src = np.repeat(own_l, deg_loc[own_l - lo])
-            bm = term[nb] == r
-            s3 = int((term[src[bm]] == r).sum())
-        g = comm.allreduce(s3, int(own_l.size))
-        per_round.append((g[0], g[1], 0, g[1]))
-
-    return {"rounds": per_round, "watchdog": watchdog}
-
-
-def _kernel_luby_faulted(task: ShardTask) -> dict[str, Any]:
-    """One shard of Luby MIS under the crash-stop / message-drop adversary.
-
-    Unlike the fault-free kernel (one iteration per *attempt*), this one
-    steps one engine *round* per iteration, because crash draws happen per
-    round over the still-running set -- exactly the fast engine's
-    ``on_round`` cadence.  The round parity encodes the protocol: odd
+    """One shard of Luby MIS, one engine round per iteration (crash draws
+    happen per round over the still-running set, the fast engine's
+    ``on_round`` cadence).  The round parity encodes the protocol: odd
     round 2k-1 delivers the previous attempt's MIS announcements (losers
     leave) and broadcasts attempt-k priorities; even round 2k delivers
     priorities and leave announcements and runs the win check.
@@ -567,9 +450,10 @@ def _kernel_luby_faulted(task: ShardTask) -> dict[str, Any]:
     round-limit error, the same legitimate non-termination the fast
     engine reports.  Crash-safe, NOT drop-safe: a dropped MIS
     announcement can leave two adjacent winners (see docs/faults.md).
-    """
-    from repro.faults.plan import CrashSpec, drop_fate
 
+    Each vertex draws its attempt-k priority from the same per-vertex
+    ``Random(f"{seed}:{id}:seed")`` stream the generator driver consumes.
+    """
     p = task.params
     offsets = task.views["offsets"]
     indices = task.views["indices"]
@@ -579,333 +463,99 @@ def _kernel_luby_faulted(task: ShardTask) -> dict[str, Any]:
     ids_arr = task.views["ids"]
     lo, hi = task.lo, task.hi
     comm = task.comm
-    n = p["n"]
     seed = p["seed"]
     max_rounds = p["max_rounds"]
-    fseed = p["fault_seed"]
-    crash_spec = CrashSpec(**p["crashes"]) if p.get("crashes") else None
-    drop = p.get("drop", 0.0)
-    record_drops = bool(p.get("record_drops"))
-    round_offset = p.get("round_offset", 0)
+    adv = _Adversary(p)
 
-    size = hi - lo
-    deg_loc = _local_deg(offsets, lo, hi)
-    e_lo = int(offsets[lo])
-    nb_own = indices[e_lo : int(offsets[hi])].astype(np.int64)
-    e_off = (offsets[lo : hi + 1] - e_lo).astype(np.int64)
-    e_att = np.zeros(nb_own.size, dtype=np.int64)
-    disc = np.zeros(nb_own.size, dtype=bool)
-    running = np.ones(size, dtype=bool)
-    for v in p.get("pre_crashed", ()):
-        if lo <= v < hi:
-            running[v - lo] = False
-    rngs: list[Random | None] = [None] * size
+    m_own = int(offsets[hi]) - int(offsets[lo])
+    e_att = np.zeros(m_own, dtype=np.int64)
+    disc = np.zeros(m_own, dtype=bool)
+    running, total_running = _running(p, lo, hi)
+    own_ids = ids_arr[lo:hi].tolist()
+    rngs: list[Random | None] = [None] * (hi - lo)
     crash_records: list[tuple[int, int]] = []
     drop_records: list[tuple[int, int, int]] = []
     per_round: list[tuple[int, int, int, int]] = []
-    total_running = n - len(p.get("pre_crashed", ()))
     watchdog = None
     rnd = 0
 
-    def _kept(srnd_send: int, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Per-copy survival mask for broadcasts sent in ``srnd_send``
-        (every sender broadcasts at most once per round, so copy 0)."""
-        if not drop or us.size == 0:
-            return np.ones(us.size, dtype=bool)
-        return np.fromiter(
-            (
-                not drop_fate(fseed, srnd_send, int(u), int(w), 0, drop)
-                for u, w in zip(us.tolist(), ws.tolist())
-            ),
-            dtype=bool,
-            count=us.size,
-        )
-
-    def _own_edges(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(edge positions, neighbors, owners) of the rows of own ``idx``."""
-        cnt = deg_loc[idx]
-        total = int(cnt.sum())
-        if total == 0:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z, z
-        cum = np.cumsum(cnt)
-        ej = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(cum - cnt, cnt)
-            + np.repeat(e_off[idx], cnt)
-        )
-        return ej, nb_own[ej], np.repeat(idx + lo, cnt)
-
     while total_running > 0:
         rnd += 1
-        srnd = round_offset + rnd
-        if crash_spec is not None:
-            newly = [
-                v
-                for v in (np.flatnonzero(running) + lo).tolist()
-                if crash_spec.strikes(fseed, srnd, v)
-            ]
-            if newly:
-                running[np.asarray(newly, dtype=np.int64) - lo] = False
-                crash_records.extend((rnd, v) for v in newly)
-            (total_crashed,) = comm.allreduce(len(newly))
-            total_running -= total_crashed
+        if adv.crashes is not None:
+            _newly, crashed = adv.strike(running, lo, rnd, crash_records, comm)
+            total_running -= crashed
             if total_running == 0:
                 break
         if rnd > max_rounds:
             watchdog = (np.flatnonzero(running) + lo).tolist()
             break
 
-        run_idx = np.flatnonzero(running)
+        run = np.flatnonzero(running)
         halts_own = 0
         if rnd % 2 == 1:
             # Odd round 2k-1: leave on MIS announcements delivered from
             # the round-(2k-2) winners, then draw the attempt-k priority.
-            k = (rnd + 1) // 2
-            if rnd > 1 and run_idx.size:
-                _ej, nbs, owners = _own_edges(run_idx)
-                wm = term[nbs] == rnd - 1
-                if wm.any():
-                    keep = _kept(srnd - 1, nbs[wm], owners[wm])
-                    leavers = np.unique(owners[wm][keep])
-                    if leavers.size:
-                        term[leavers] = rnd
-                        running[leavers - lo] = False
-                        halts_own = int(leavers.size)
-                        run_idx = np.flatnonzero(running)
-            for i in run_idx.tolist():
+            if rnd > 1 and run.size:
+                rows = run + lo
+                nbs, cnt, _slots = _rows(offsets, indices, rows, lo, hi)
+                hit = term[nbs] == rnd - 1
+                if adv.drop:
+                    hit = adv.survivors(rnd - 1, hit, nbs, np.repeat(rows, cnt))
+                leave = _row_sums(hit, cnt) > 0
+                if leave.any():
+                    term[run[leave] + lo] = rnd
+                    running[run[leave]] = False
+                    halts_own = int(leave.sum())
+                    run = run[~leave]
+            draws = []
+            for i in run.tolist():
                 rng = rngs[i]
                 if rng is None:
-                    rng = rngs[i] = Random(f"{seed}:{int(ids_arr[lo + i])}:seed")
-                rand[lo + i] = rng.random()
-                lastp[lo + i] = rnd
-        else:
+                    rng = rngs[i] = Random(f"{seed}:{own_ids[i]}:seed")
+                draws.append(rng.random())
+            rand[run + lo] = draws
+            lastp[run + lo] = rnd
+        elif run.size:
             # Even round 2k: absorb attempt-k priorities and leave
             # announcements sent at 2k-1, then the win check over the
             # accumulated per-edge view.
             k = rnd // 2
-            if run_idx.size:
-                ej, nbs, owners = _own_edges(run_idx)
-                pm = lastp[nbs] == rnd - 1
-                if pm.any():
-                    keep = _kept(srnd - 1, nbs[pm], owners[pm])
-                    e_att[ej[pm][keep]] = k
-                fm = term[nbs] == rnd - 1
-                if fm.any():
-                    keep = _kept(srnd - 1, nbs[fm], owners[fm])
-                    disc[ej[fm][keep]] = True
-                ea = e_att[ej]
-                rv, iv = rand[owners], ids_arr[owners]
-                beaten = (rand[nbs] < rv) | ((rand[nbs] == rv) & (ids_arr[nbs] < iv))
-                ok = disc[ej] | ((ea > 0) & (ea < k)) | ((ea == k) & beaten)
-                blocked = np.bincount(
-                    owners[~ok] - lo, minlength=size
-                ).astype(bool)
-                winners = run_idx[~blocked[run_idx]] + lo
-                if winners.size:
-                    term[winners] = rnd
-                    running[winners - lo] = False
-                    halts_own = int(winners.size)
+            rows = run + lo
+            nbs, cnt, ej = _rows(offsets, indices, rows, lo, hi)
+            owners = np.repeat(rows, cnt)
+            pm = lastp[nbs] == rnd - 1
+            fm = term[nbs] == rnd - 1
+            if adv.drop:
+                pm = adv.survivors(rnd - 1, pm, nbs, owners) > 0
+                fm = adv.survivors(rnd - 1, fm, nbs, owners) > 0
+            e_att[ej[pm]] = k
+            disc[ej[fm]] = True
+            ea = e_att[ej]
+            rv, iv = rand[owners], ids_arr[owners]
+            beaten = (rand[nbs] < rv) | ((rand[nbs] == rv) & (ids_arr[nbs] < iv))
+            ok = disc[ej] | ((ea > 0) & (ea < k)) | ((ea == k) & beaten)
+            win = _row_sums(~ok, cnt) == 0
+            if win.any():
+                term[rows[win]] = rnd
+                running[run[win]] = False
+                halts_own = int(win.sum())
         comm.sync()
 
-        # Phase B: receiver-side accounting of this round's broadcasts
-        # (attempt priorities + leave announcements at odd rounds, MIS
-        # announcements at even rounds -- every sender is marked in the
-        # shared arrays: lastp == rnd or term == rnd).
-        own_term = term[lo:hi]
-        cand_i = np.flatnonzero((own_term == 0) | (own_term == rnd))
-        counted = same = recv_loc = 0
-        if cand_i.size:
-            _ej, nbs, owners = _own_edges(cand_i)
+        # Phase B: this round's broadcasts are attempt priorities and
+        # leave announcements at odd rounds, MIS announcements at even
+        # rounds -- every sender is marked: lastp == rnd or term == rnd.
+        def sent(nbs):
+            hit = term[nbs] == rnd
             if rnd % 2 == 1:
-                sm = (lastp[nbs] == rnd) | (term[nbs] == rnd)
-            else:
-                sm = term[nbs] == rnd
-            us, ws = nbs[sm], owners[sm]
-            if drop and us.size:
-                keep = _kept(srnd, us, ws)
-                if record_drops and not keep.all():
-                    km = ~keep
-                    drop_records.extend(
-                        zip([rnd] * int(km.sum()), us[km].tolist(), ws[km].tolist())
-                    )
-                us, ws = us[keep], ws[keep]
-            tw = term[ws]
-            live = tw == 0
-            counted = int(live.sum())
-            same = int((tw == rnd).sum())
-            recv_loc = int(np.unique(ws[live]).size)
-        g = comm.allreduce(
-            counted, same, recv_loc, halts_own, int(running.sum())
+                hit |= lastp[nbs] == rnd
+            return hit
+
+        record, total_running = _close_round(
+            task, adv, rnd, sent, halts_own, running, drop_records
         )
-        per_round.append((g[0] + g[1], g[0] + g[3], g[2], g[3]))
-        total_running = g[4]
+        per_round.append(record)
 
-    return {
-        "rounds": per_round,
-        "crashes": crash_records,
-        "drops": drop_records,
-        "watchdog": watchdog,
-        "session_rounds": rnd,
-    }
-
-
-def sharded_luby_mis(
-    graph: Graph,
-    ids: Sequence[int] | None = None,
-    seed: int = 0,
-    max_rounds: int | None = None,
-):
-    """Sharded (or, without a session, in-process) Luby MIS; crash-stop
-    and message-drop plans are supported via the round-lockstep kernel."""
-    from repro.core.extension import MISResult
-    from repro.faults.plan import current
-
-    n = graph.n
-    ids_arr = resolve_ids(graph, ids)
-    if max_rounds is None:
-        max_rounds = 64 * (n.bit_length() + 4) + 64
-
-    injector = current()
-    if injector is not None:
-        return _sharded_luby_faulted(
-            graph, ids_arr, seed, max_rounds, injector
-        )
-
-    payloads, copies, _bounds = _launch(
-        "luby",
-        graph,
-        {
-            "term": ((n,), np.int64),
-            "rand": ((n,), np.float64),
-            "alive": np.ones(n, dtype=bool),
-            "ids": ids_arr,
-        },
-        {"n": n, "seed": seed, "max_rounds": max_rounds},
-        copy_keys=("term",),
-    )
-    term = copies["term"]
-
-    wd = [p["watchdog"] for p in payloads]
-    if any(w is not None for w in wd):
-        acts = [v for w in wd if w is not None for v in w[1]]
-        prevs = [v for w in wd if w is not None for v in w[2]]
-        raise RoundLimitExceeded(max_rounds, acts + prevs, None)
-
-    rounds = payloads[0]["rounds"]
-    outputs: dict[int, Any] = {
-        v: (int(t) // 2, True) if t % 2 == 0 else ((int(t) - 1) // 2, False)
-        for v, t in enumerate(term.tolist())
-    }
-    res = finalize_run(
-        outputs,
-        term,
-        [r[0] for r in rounds],
-        [r[1] for r in rounds],
-        [r[2] for r in rounds],
-    )
-    return MISResult(
-        in_mis={v: flag for v, (att, flag) in res.outputs.items()},
-        h_index={v: att for v, (att, flag) in res.outputs.items()},
-        metrics=res.metrics,
-    )
-
-
-def _luby_outputs(term: np.ndarray) -> dict[int, Any]:
-    """Decode (attempt, joined?) from Luby termination parity: winners
-    terminate at even round 2k, losers one round later at 2k+1."""
-    return {
-        v: ((int(t) // 2, True) if t % 2 == 0 else ((int(t) - 1) // 2, False))
-        for v, t in enumerate(term.tolist())
-        if t > 0
-    }
-
-
-def _fault_params(injector, n: int, name: str, bus) -> dict[str, Any]:
-    """The shared fault-plan -> kernel-params translation: crash-stop and
-    message-drop plans are evaluated inside the kernels via the pure
-    counter-based draws; duplicate/delay plans have no receiver-side
-    replay and are rejected up front."""
-    plan = injector.plan
-    mf = plan.messages
-    if mf is not None and (mf.duplicate or mf.delay):
-        raise BulkUnsupported(
-            f"{name} supports crash-stop and message-drop faults only; "
-            "duplicate/delay plans need the 'fast' or 'reference' engine"
-        )
-    pre_crashed = sorted(v for v in injector.begin_run(None) if v < n)
-    params: dict[str, Any] = {
-        "fault_seed": plan.seed,
-        "round_offset": injector._round,
-        "pre_crashed": pre_crashed,
-    }
-    if plan.crashes is not None and plan.crashes.active:
-        params["crashes"] = {
-            "at": dict(plan.crashes.at),
-            "hazard": plan.crashes.hazard,
-        }
-    if mf is not None and mf.drop:
-        params["drop"] = mf.drop
-        params["record_drops"] = bus is not None and bus.active
-    return params
-
-
-def _sharded_luby_faulted(graph, ids_arr, seed, max_rounds, injector):
-    """The faulted half of :func:`sharded_luby_mis`."""
-    import repro.obs as obs
-    from repro.core.extension import MISResult
-
-    n = graph.n
-    bus = obs.current()
-    params = _fault_params(injector, n, "luby MIS", bus)
-    params.update({"n": n, "seed": seed, "max_rounds": max_rounds})
-    pre_crashed = params["pre_crashed"]
-
-    payloads, copies, _bounds = _execute_kernel(
-        "luby_faulted",
-        graph,
-        {
-            "term": ((n,), np.int64),
-            "rand": ((n,), np.float64),
-            "lastp": ((n,), np.int64),
-            "ids": ids_arr,
-        },
-        params,
-        copy_keys=("term",),
-    )
-    term = copies["term"]
-
-    wd = [p["watchdog"] for p in payloads]
-    if any(w is not None for w in wd):
-        injector.absorb_rounds(
-            payloads[0]["session_rounds"],
-            [v for p in payloads for (_r, v) in p["crashes"]],
-        )
-        raise RoundLimitExceeded(
-            max_rounds, [v for w in wd if w is not None for v in w], None
-        )
-
-    rounds = payloads[0]["rounds"]
-    crash_rounds = dict(
-        sorted(((v, r) for p in payloads for (r, v) in p["crashes"]))
-    )
-    injector.absorb_rounds(payloads[0]["session_rounds"], list(crash_rounds))
-    res = finalize_faulted_run(
-        _luby_outputs(term),
-        term,
-        crash_rounds,
-        pre_crashed,
-        [r[0] for r in rounds],
-        [r[1] for r in rounds],
-        [r[2] for r in rounds],
-        crashed_all=[v for v in injector.crashed if v < n],
-        drops=[d for p in payloads for d in p.get("drops", ())],
-    )
-    return MISResult(
-        in_mis={v: flag for v, (att, flag) in res.outputs.items()},
-        h_index={v: att for v, (att, flag) in res.outputs.items()},
-        metrics=res.metrics,
-    )
+    return _payload(per_round, crash_records, drop_records, watchdog, rnd)
 
 
 # ---------------------------------------------------------------------------
@@ -914,59 +564,20 @@ def _sharded_luby_faulted(graph, ids_arr, seed, max_rounds, injector):
 
 
 def _kernel_cole_vishkin(task: ShardTask) -> dict[str, Any]:
-    """One shard of Cole-Vishkin: the color array is double-buffered so a
-    step reads buffer ``s & 1`` and writes the other; one barrier per
-    halving/recolor step."""
-    p = task.params
-    offsets = task.views["offsets"]
-    indices = task.views["indices"]
-    buf = task.views["colors"]  # (2, n)
-    succ = task.views["succ"]
-    lo, hi = task.lo, task.hi
-    comm = task.comm
-    steps = p["steps"]
+    """One shard of Cole-Vishkin in round lockstep with the fast program.
 
-    deg_loc = _local_deg(offsets, lo, hi)
-    cur = 0
-    for _ in range(steps):
-        c0, c1 = buf[cur], buf[1 - cur]
-        cs = c0[succ[lo:hi]]
-        diff = c0[lo:hi] ^ cs
-        low = diff & -diff
-        i = np.log2(low.astype(np.float64)).astype(np.int64)
-        c1[lo:hi] = 2 * i + ((c0[lo:hi] >> i) & 1)
-        comm.sync()
-        cur = 1 - cur
-    own = np.arange(lo, hi, dtype=np.int64)
-    src = np.repeat(own, deg_loc) - lo
-    nb = indices[offsets[lo] : offsets[hi]]
-    size = hi - lo
-    for cls in (5, 4, 3):
-        c0, c1 = buf[cur], buf[1 - cur]
-        nbc = c0[nb]
-        used0 = np.zeros(size, dtype=bool)
-        used0[src[nbc == 0]] = True
-        used1 = np.zeros(size, dtype=bool)
-        used1[src[nbc == 1]] = True
-        pick = np.where(~used0, 0, np.where(~used1, 1, 2))
-        c1[lo:hi] = np.where(c0[lo:hi] == cls, pick, c0[lo:hi])
-        comm.sync()
-        cur = 1 - cur
-    return {"cur": cur}
-
-
-def _kernel_cole_vishkin_faulted(task: ShardTask) -> dict[str, Any]:
-    """One shard of Cole-Vishkin under crash-stop / message-drop faults.
-
-    Runs in round lockstep like the fast program: rounds ``1..steps+1``
-    broadcast the halving chain (round r reduces with the successor's
-    round-``r-1`` value), rounds ``steps+2..steps+4`` process the greedy
-    recolor classes 5, 4, 3; everyone still alive terminates at
-    ``steps+4``.  The program *never waits*: a missing successor value
-    (crashed sender or dropped copy) skips the reduce and keeps the
-    current color -- identical to the fast program's keep-color-on-missing
+    Rounds ``1..steps+1`` broadcast the halving chain (round r reduces
+    with the successor's round-``r-1`` value), rounds ``steps+2..steps+4``
+    process the greedy recolor classes 5, 4, 3; everyone still alive
+    terminates at ``steps+4``.  The program *never waits*: a missing
+    successor value (crashed sender or dropped copy) skips the reduce and
+    keeps the current color -- the fast program's keep-color-on-missing
     rule -- so Cole-Vishkin cannot non-terminate under this adversary,
     only degrade (the validators flag the resulting defects).
+
+    Each halving step is ``diff = c ^ c[succ]``; the lowest set bit index
+    comes from ``log2(diff & -diff)`` (exact in float64 for any index
+    < 53, far beyond real ID spaces).
 
     Shared state is parity-disciplined: ``colors[r & 1][v]`` is the value
     v broadcast at round r (written in phase A of round r, read by
@@ -975,8 +586,6 @@ def _kernel_cole_vishkin_faulted(task: ShardTask) -> dict[str, Any]:
     gate delivery on ``bstamp[u] >= r-1`` without racing the current
     round's stamps.
     """
-    from repro.faults.plan import CrashSpec, drop_fate
-
     p = task.params
     offsets = task.views["offsets"]
     indices = task.views["indices"]
@@ -988,274 +597,77 @@ def _kernel_cole_vishkin_faulted(task: ShardTask) -> dict[str, Any]:
     ids_arr = task.views["ids"]
     lo, hi = task.lo, task.hi
     comm = task.comm
-    n = p["n"]
     steps = p["steps"]
-    fseed = p["fault_seed"]
-    crash_spec = CrashSpec(**p["crashes"]) if p.get("crashes") else None
-    drop = p.get("drop", 0.0)
-    record_drops = bool(p.get("record_drops"))
-    round_offset = p.get("round_offset", 0)
+    adv = _Adversary(p)
 
-    size = hi - lo
-    deg_loc = _local_deg(offsets, lo, hi)
-    e_lo = int(offsets[lo])
-    nb_own = indices[e_lo : int(offsets[hi])].astype(np.int64)
-    e_off = (offsets[lo : hi + 1] - e_lo).astype(np.int64)
-    own_succ = succ[lo:hi].astype(np.int64)
-    running = np.ones(size, dtype=bool)
-    for v in p.get("pre_crashed", ()):
-        if lo <= v < hi:
-            running[v - lo] = False
+    own_succ = succ[lo:hi]
+    running, total_running = _running(p, lo, hi)
     crash_records: list[tuple[int, int]] = []
     drop_records: list[tuple[int, int, int]] = []
     per_round: list[tuple[int, int, int, int]] = []
-    total_running = n - len(p.get("pre_crashed", ()))
     rnd = 0
-
-    def _kept(srnd_send: int, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        if not drop or us.size == 0:
-            return np.ones(us.size, dtype=bool)
-        return np.fromiter(
-            (
-                not drop_fate(fseed, srnd_send, int(u), int(w), 0, drop)
-                for u, w in zip(us.tolist(), ws.tolist())
-            ),
-            dtype=bool,
-            count=us.size,
-        )
 
     while total_running > 0 and rnd < steps + 4:
         rnd += 1
-        srnd = round_offset + rnd
-        if crash_spec is not None:
-            newly = [
-                v
-                for v in (np.flatnonzero(running) + lo).tolist()
-                if crash_spec.strikes(fseed, srnd, v)
-            ]
-            if newly:
-                running[np.asarray(newly, dtype=np.int64) - lo] = False
-                crash_records.extend((rnd, v) for v in newly)
-            (total_crashed,) = comm.allreduce(len(newly))
-            total_running -= total_crashed
+        if adv.crashes is not None:
+            _newly, crashed = adv.strike(running, lo, rnd, crash_records, comm)
+            total_running -= crashed
             if total_running == 0:
                 break
 
-        run_idx = np.flatnonzero(running)
+        run = np.flatnonzero(running)
         halts_own = 0
-        if run_idx.size:
-            vg = run_idx + lo
+        if run.size:
+            vg = run + lo
+            prev = buf[(rnd - 1) & 1]
             if rnd == 1:
                 c_new = ids_arr[vg].astype(np.int64)
+            elif rnd <= steps + 1:
+                # halving step: reduce with the successor's round-(r-1)
+                # value when it arrived and differs (equal is reachable
+                # once a step was skipped), keep the color otherwise
+                c_new = prev[vg]
+                su = own_succ[run]
+                got = bstamp[su] >= rnd - 1
+                if adv.drop:
+                    got = adv.survivors(rnd - 1, got, su, vg) > 0
+                cs = prev[su]
+                got &= cs != c_new
+                c0, cs = c_new[got], cs[got]
+                low = (c0 ^ cs) & -(c0 ^ cs)
+                i = np.log2(low.astype(np.float64)).astype(np.int64)
+                c_new[got] = 2 * i + ((c0 >> i) & 1)
             else:
-                c_new = buf[(rnd - 1) & 1][vg].copy()
-                if rnd <= steps + 1:
-                    # halving step: reduce with the successor's round-(r-1)
-                    # value when it arrived, keep the color otherwise
-                    su = own_succ[run_idx]
-                    got = bstamp[su] >= rnd - 1
-                    if got.any():
-                        got &= _kept(srnd - 1, su, vg)
-                    # keep-color on missing *or equal* successor value
-                    # (the latter is reachable once a step was skipped)
-                    got &= buf[(rnd - 1) & 1][su] != c_new
-                    if got.any():
-                        cs = buf[(rnd - 1) & 1][su[got]]
-                        c0 = c_new[got]
-                        diff = c0 ^ cs
-                        low = diff & -diff
-                        i = np.log2(low.astype(np.float64)).astype(np.int64)
-                        c_new[got] = 2 * i + ((c0 >> i) & 1)
-                else:
-                    # greedy recolor of class 5 / 4 / 3 over the delivered
-                    # neighbor values from round r-1
-                    cls = 5 - (rnd - steps - 2)
-                    mine = np.flatnonzero(c_new == cls)
-                    for j in mine.tolist():
-                        i = run_idx[j]
-                        nbs = nb_own[e_off[i] : e_off[i + 1]]
-                        got_n = nbs[bstamp[nbs] >= rnd - 1]
-                        keep = _kept(
-                            srnd - 1, got_n, np.full(got_n.size, lo + i)
-                        )
-                        used = set(buf[(rnd - 1) & 1][got_n[keep]].tolist())
-                        c_new[j] = next(
-                            cc for cc in (0, 1, 2) if cc not in used
-                        )
+                # greedy recolor of class 5 / 4 / 3: the smallest of
+                # {0, 1, 2} no delivered round-(r-1) neighbor value uses
+                c_new = prev[vg]
+                mine = np.flatnonzero(c_new == 5 - (rnd - steps - 2))
+                rows = vg[mine]
+                nbs, cnt, _slots = _rows(offsets, indices, rows, lo, hi)
+                got = bstamp[nbs] >= rnd - 1
+                if adv.drop:
+                    got = adv.survivors(rnd - 1, got, nbs, np.repeat(rows, cnt)) > 0
+                nbc = prev[nbs]
+                used0 = _row_sums(got & (nbc == 0), cnt) > 0
+                used1 = _row_sums(got & (nbc == 1), cnt) > 0
+                c_new[mine] = np.where(~used0, 0, np.where(~used1, 1, 2))
             if rnd <= steps + 3:
                 buf[rnd & 1][vg] = c_new
                 bstamp[vg] = rnd
             else:
                 col[vg] = c_new
                 term[vg] = rnd
-                running[run_idx] = False
-                halts_own = int(run_idx.size)
+                running[run] = False
+                halts_own = int(run.size)
         comm.sync()
 
-        own_term = term[lo:hi]
-        cand_i = np.flatnonzero((own_term == 0) | (own_term == rnd))
-        counted = same = recv_loc = 0
-        if cand_i.size:
-            cnt = deg_loc[cand_i]
-            total = int(cnt.sum())
-            if total:
-                cum = np.cumsum(cnt)
-                ej = (
-                    np.arange(total, dtype=np.int64)
-                    - np.repeat(cum - cnt, cnt)
-                    + np.repeat(e_off[cand_i], cnt)
-                )
-                nbs = nb_own[ej]
-                owners = np.repeat(cand_i + lo, cnt)
-                sm = bstamp[nbs] == rnd
-                us, ws = nbs[sm], owners[sm]
-                if drop and us.size:
-                    keep = _kept(srnd, us, ws)
-                    if record_drops and not keep.all():
-                        km = ~keep
-                        drop_records.extend(
-                            zip(
-                                [rnd] * int(km.sum()),
-                                us[km].tolist(),
-                                ws[km].tolist(),
-                            )
-                        )
-                    us, ws = us[keep], ws[keep]
-                tw = term[ws]
-                live = tw == 0
-                counted = int(live.sum())
-                same = int((tw == rnd).sum())
-                recv_loc = int(np.unique(ws[live]).size)
-        g = comm.allreduce(
-            counted, same, recv_loc, halts_own, int(running.sum())
+        record, total_running = _close_round(
+            task, adv, rnd, lambda nbs: bstamp[nbs] == rnd, halts_own,
+            running, drop_records,
         )
-        per_round.append((g[0] + g[1], g[0] + g[3], g[2], g[3]))
-        total_running = g[4]
+        per_round.append(record)
 
-    return {
-        "rounds": per_round,
-        "crashes": crash_records,
-        "drops": drop_records,
-        "watchdog": None,
-        "session_rounds": rnd,
-    }
-
-
-def _sharded_cv_faulted(graph, successor, ids_arr, seed, injector):
-    """The faulted half of :func:`sharded_ring_three_coloring`."""
-    import repro.obs as obs
-    from repro.baselines.cole_vishkin import _cv_steps
-    from repro.core.coloring import ColoringResult
-
-    n = graph.n
-    bus = obs.current()
-    params = _fault_params(injector, n, "ring 3-coloring", bus)
-    steps = _cv_steps(id_space(ids_arr))
-    params.update({"n": n, "steps": steps})
-    pre_crashed = params["pre_crashed"]
-
-    payloads, copies, _bounds = _execute_kernel(
-        "cole_vishkin_faulted",
-        graph,
-        {
-            "colors": ((2, n), np.int64),
-            "bstamp": ((n,), np.int64),
-            "term": ((n,), np.int64),
-            "col": ((n,), np.int64),
-            "succ": np.asarray(list(successor), dtype=np.int64),
-            "ids": ids_arr,
-        },
-        params,
-        copy_keys=("term", "col"),
-    )
-    term = copies["term"]
-    col = copies["col"]
-
-    rounds = payloads[0]["rounds"]
-    crash_rounds = dict(
-        sorted(((v, r) for p in payloads for (r, v) in p["crashes"]))
-    )
-    injector.absorb_rounds(payloads[0]["session_rounds"], list(crash_rounds))
-    outputs = {
-        v: (1, int(col[v])) for v, t in enumerate(term.tolist()) if t > 0
-    }
-    res = finalize_faulted_run(
-        outputs,
-        term,
-        crash_rounds,
-        pre_crashed,
-        [r[0] for r in rounds],
-        [r[1] for r in rounds],
-        [r[2] for r in rounds],
-        crashed_all=[v for v in injector.crashed if v < n],
-        drops=[d for p in payloads for d in p.get("drops", ())],
-    )
-    return ColoringResult(
-        colors={v: c for v, (h, c) in res.outputs.items()},
-        h_index={v: h for v, (h, c) in res.outputs.items()},
-        metrics=res.metrics,
-        palette_bound=3,
-    )
-
-
-def sharded_ring_three_coloring(
-    graph: Graph,
-    successor: Sequence[int],
-    ids: Sequence[int] | None = None,
-    seed: int = 0,
-):
-    """Sharded Cole-Vishkin; accounting is closed-form in the parent for
-    fault-free runs, receiver-side per round under a fault session."""
-    from repro.baselines.cole_vishkin import _cv_steps
-    from repro.core.coloring import ColoringResult
-    from repro.faults.plan import current
-
-    n = graph.n
-    ids_arr = resolve_ids(graph, ids)
-
-    injector = current()
-    if injector is not None:
-        return _sharded_cv_faulted(graph, successor, ids_arr, seed, injector)
-    offsets, _ = graph.csr(dtype="auto")
-    deg = (offsets[1:] - offsets[:-1]).astype(np.int64)
-    m2 = int(offsets[-1])
-    steps = _cv_steps(id_space(ids_arr))
-
-    if n:
-        colors0 = np.zeros((2, n), dtype=np.int64)
-        colors0[0] = ids_arr
-        payloads, copies, _bounds = _launch(
-            "cole_vishkin",
-            graph,
-            {
-                "colors": colors0,
-                "succ": np.asarray(list(successor), dtype=np.int64),
-            },
-            {"n": n, "steps": steps},
-            copy_keys=("colors",),
-        )
-        c = copies["colors"][payloads[0]["cur"]]
-    else:
-        c = np.zeros(0, dtype=np.int64)
-
-    rounds_total = steps + 4
-    if n:
-        term = np.full(n, rounds_total, dtype=np.int64)
-        n_recv = int((deg > 0).sum())
-        sent = [m2] * (rounds_total - 1) + [0]
-        msgs = [m2] * (rounds_total - 1) + [n]
-        recv = [n_recv] * (rounds_total - 1) + [0]
-    else:
-        term = np.zeros(0, dtype=np.int64)
-        sent, msgs, recv = [], [], []
-    outputs = {v: (1, int(c[v])) for v in range(n)}
-    res = finalize_run(outputs, term, sent, msgs, recv)
-    return ColoringResult(
-        colors={v: col for v, (h, col) in res.outputs.items()},
-        h_index={v: h for v, (h, col) in res.outputs.items()},
-        metrics=res.metrics,
-        palette_bound=3,
-    )
+    return _payload(per_round, crash_records, drop_records, None, rnd)
 
 
 # ---------------------------------------------------------------------------
@@ -1266,41 +678,6 @@ def sharded_ring_three_coloring(
 def _kernel_defective(task: ShardTask) -> dict[str, Any]:
     """One shard of the defective-coloring schedule.
 
-    The cover-free family schedule is recomputed locally (it is a pure
-    function of ``(id_space, A, d)``), and each family step runs the
-    per-vertex ``fam.pick`` loop over the shard's own slice against the
-    previous buffer — this Python loop is exactly the part that profits
-    from sharding.
-    """
-    from repro.core.defective import defective_schedule
-
-    p = task.params
-    offsets = task.views["offsets"]
-    indices = task.views["indices"]
-    buf = task.views["colors"]  # (2, n)
-    lo, hi = task.lo, task.hi
-    comm = task.comm
-
-    schedule = defective_schedule(p["space"], p["A"], p["d"])
-    off = (offsets[lo : hi + 1] - offsets[lo]).tolist()
-    nb = indices[offsets[lo] : offsets[hi]].tolist()
-    cur = 0
-    for fam in schedule:
-        c0 = buf[cur].tolist()
-        c1 = buf[1 - cur]
-        c1[lo:hi] = [
-            fam.pick(c0[v], [c0[u] for u in nb[off[i] : off[i + 1]]])
-            for i, v in enumerate(range(lo, hi))
-        ]
-        comm.sync()
-        cur = 1 - cur
-    return {"cur": cur}
-
-
-def _kernel_defective_faulted(task: ShardTask) -> dict[str, Any]:
-    """One shard of the defective-coloring schedule under crash-stop /
-    message-drop faults.
-
     The fast program is *self-synchronizing*: it broadcasts family step k
     and then waits until every neighbor's step k arrived, with no resend.
     Two consequences shape this kernel.  First, a vertex released from a
@@ -1309,7 +686,13 @@ def _kernel_defective_faulted(task: ShardTask) -> dict[str, Any]:
     per-copy index is the step's offset within the sender's round batch.
     Second, one dropped copy (or a crashed neighbor) stalls its receiver
     at that step forever, which cascades; the watchdog reports the same
-    legitimate non-termination the fast engine does.
+    legitimate non-termination the fast engine does.  On a clean run this
+    is the lockstep schedule: K broadcast rounds (isolated vertices
+    finish all their picks in round 1), then one terminating round.
+
+    The cover-free schedule is recomputed locally (a pure function of
+    ``(id_space, A, d)``); its ``fam.pick`` decisions stay per-vertex
+    Python calls, everything around them is array passes over own rows.
 
     Shared state: ``ustep[r & 1][v]`` is v's cumulative broadcast count as
     of round r (written every round v is alive, so the previous-parity
@@ -1323,7 +706,6 @@ def _kernel_defective_faulted(task: ShardTask) -> dict[str, Any]:
     -- a drop freezes it permanently).
     """
     from repro.core.defective import defective_schedule
-    from repro.faults.plan import CrashSpec, drop_fate
 
     p = task.params
     offsets = task.views["offsets"]
@@ -1336,310 +718,120 @@ def _kernel_defective_faulted(task: ShardTask) -> dict[str, Any]:
     ids_arr = task.views["ids"]
     lo, hi = task.lo, task.hi
     comm = task.comm
-    n = p["n"]
     max_rounds = p["max_rounds"]
-    fseed = p["fault_seed"]
-    crash_spec = CrashSpec(**p["crashes"]) if p.get("crashes") else None
-    drop = p.get("drop", 0.0)
-    record_drops = bool(p.get("record_drops"))
-    round_offset = p.get("round_offset", 0)
+    adv = _Adversary(p)
 
     schedule = defective_schedule(p["space"], p["A"], p["d"])
     n_steps = len(schedule)
-    size = hi - lo
-    e_lo = int(offsets[lo])
-    nb_own = indices[e_lo : int(offsets[hi])].astype(np.int64).tolist()
-    e_off = (offsets[lo : hi + 1] - e_lo).astype(np.int64).tolist()
-    e_seen = [0] * len(nb_own)
-    e_gap = [0] * len(nb_own)
-    running = np.ones(size, dtype=bool)
-    for v in p.get("pre_crashed", ()):
-        if lo <= v < hi:
-            running[v - lo] = False
-    bc = [0] * size  # steps broadcast so far; picks done = bc - 1 or bc
-    cols = [int(x) for x in ids_arr[lo:hi]]
+    m_own = int(offsets[hi]) - int(offsets[lo])
+    e_seen = np.zeros(m_own, dtype=np.int64)
+    e_gap = np.zeros(m_own, dtype=np.int64)
+    running, total_running = _running(p, lo, hi)
+    bc = np.zeros(hi - lo, dtype=np.int64)  # steps broadcast so far
+    cols = ids_arr[lo:hi].tolist()
     crash_records: list[tuple[int, int]] = []
     drop_records: list[tuple[int, int, int]] = []
     per_round: list[tuple[int, int, int, int]] = []
-    total_running = n - len(p.get("pre_crashed", ()))
     watchdog = None
     rnd = 0
 
     while total_running > 0:
         rnd += 1
-        srnd = round_offset + rnd
-        if crash_spec is not None:
-            newly = [
-                v
-                for v in (np.flatnonzero(running) + lo).tolist()
-                if crash_spec.strikes(fseed, srnd, v)
-            ]
-            if newly:
-                running[np.asarray(newly, dtype=np.int64) - lo] = False
-                crash_records.extend((rnd, v) for v in newly)
-            (total_crashed,) = comm.allreduce(len(newly))
-            total_running -= total_crashed
+        if adv.crashes is not None:
+            _newly, crashed = adv.strike(running, lo, rnd, crash_records, comm)
+            total_running -= crashed
             if total_running == 0:
                 break
         if rnd > max_rounds:
             watchdog = (np.flatnonzero(running) + lo).tolist()
             break
 
-        run_idx = np.flatnonzero(running).tolist()
-        halts_own = 0
-        # Phase A1: fate-process the copies broadcast at round rnd-1
-        # (delivery advances each edge's contiguous-prefix gap; a dropped
-        # step freezes it -- there are no resends).
+        run = np.flatnonzero(running)
+        rows = run + lo
+        nbs, cnt, ej = _rows(offsets, indices, rows, lo, hi)
+        # Phase A1: fate-process the copies broadcast at round rnd-1;
+        # delivery advances each edge's contiguous-prefix gap, and a
+        # dropped step freezes it (there are no resends).
         if rnd > 1:
-            for i in run_idx:
-                for j in range(e_off[i], e_off[i + 1]):
-                    u = nb_own[j]
-                    cnt = int(ustep[(rnd - 1) & 1][u])
-                    base = e_seen[j]
-                    if cnt <= base:
-                        continue
-                    for s in range(base, cnt):
-                        if drop and drop_fate(
-                            fseed, srnd - 1, u, lo + i, s - base, drop
-                        ):
-                            continue
-                        if s == e_gap[j]:
-                            e_gap[j] = s + 1
-                    e_seen[j] = cnt
-        # Phase A2: make progress -- first activation broadcasts step 0,
-        # then every satisfied wait picks and broadcasts the next step
-        # (possibly several in one round), terminating after the last pick.
-        for i in run_idx:
-            v = lo + i
-            b = bc[i]
-            done = False
-            if b == 0:
-                if n_steps == 0:
-                    done = True
-                else:
-                    ucol[0][v] = cols[i]
-                    b = 1
-            if not done:
-                while b >= 1 and all(
-                    e_gap[j] >= b for j in range(e_off[i], e_off[i + 1])
+            upto = ustep[(rnd - 1) & 1][nbs]
+            new = upto > e_seen[ej]
+            e_new, upto = ej[new], upto[new]
+            base = e_seen[e_new]
+            reach = upto
+            if adv.drop and e_new.size:
+                # the gap stops at the first dropped copy of the batch
+                first = upto - base
+                copy, kidx = _copies(first)
+                owners = np.repeat(rows, cnt)[new]
+                keep = adv.kept(
+                    adv.offset + rnd - 1, nbs[new][copy], owners[copy], kidx
+                )
+                np.minimum.at(first, copy[~keep], kidx[~keep])
+                reach = base + first
+            fresh = e_gap[e_new] == base
+            e_gap[e_new[fresh]] = reach[fresh]
+            e_seen[e_new] = upto
+        # Phase A2: first activation broadcasts step 0, then every
+        # satisfied wait picks and broadcasts the next step (possibly
+        # several in one round), terminating after the last pick.
+        done = np.zeros(hi - lo, dtype=bool)
+        if n_steps == 0:
+            done[run] = True
+        else:
+            first = run[bc[run] == 0]
+            ucol[0][first + lo] = [cols[i] for i in first.tolist()]
+            bc[first] = 1
+            wave, w_nbs, w_cnt, w_ej = run, nbs, cnt, ej
+            while wave.size:
+                b_e = np.repeat(bc[wave], w_cnt)
+                ready = _row_sums(e_gap[w_ej] < b_e, w_cnt) == 0
+                if not ready.any():
+                    break
+                sel = np.repeat(ready, w_cnt)
+                vals = ucol[(b_e[sel] - 1) & 1, w_nbs[sel]]
+                wave = wave[ready]
+                b_w = bc[wave]
+                at = 0
+                for i, b, c in zip(
+                    wave.tolist(), b_w.tolist(), w_cnt[ready].tolist()
                 ):
-                    fam = schedule[b - 1]
-                    cols[i] = fam.pick(
-                        cols[i],
-                        [
-                            int(ucol[(b - 1) & 1][nb_own[j]])
-                            for j in range(e_off[i], e_off[i + 1])
-                        ],
-                    )
-                    if b == n_steps:
-                        done = True
-                        break
-                    ucol[b & 1][v] = cols[i]
-                    b += 1
-            bc[i] = b
-            ustep[rnd & 1][v] = b
-            ulast[v] = rnd
-            if done:
-                term[v] = rnd
-                col[v] = cols[i]
-                running[i] = False
-                halts_own += 1
+                    nbc = vals[at : at + c].tolist()
+                    cols[i] = schedule[b - 1].pick(cols[i], nbc)
+                    at += c
+                fin = b_w == n_steps
+                done[wave[fin]] = True
+                wave = wave[~fin]
+                ucol[bc[wave] & 1, wave + lo] = [cols[i] for i in wave.tolist()]
+                bc[wave] += 1
+                w_nbs, w_cnt, w_ej = _rows(offsets, indices, wave + lo, lo, hi)
+        ustep[rnd & 1][rows] = bc[run]
+        ulast[rows] = rnd
+        fin = run[done[run]]
+        term[fin + lo] = rnd
+        col[fin + lo] = [cols[i] for i in fin.tolist()]
+        running[fin] = False
+        halts_own = int(fin.size)
         comm.sync()
 
-        # Phase B: receiver-side accounting of this round's batched
-        # broadcasts (ulast gates out parity-frozen dead senders).
-        own_term = term[lo:hi]
-        cand_i = np.flatnonzero((own_term == 0) | (own_term == rnd)).tolist()
-        counted = same = 0
-        recv_set: set[int] = set()
-        for i in cand_i:
-            v = lo + i
-            t_own = int(own_term[i])
-            for j in range(e_off[i], e_off[i + 1]):
-                u = nb_own[j]
-                if int(ulast[u]) != rnd:
-                    continue
-                k_n = int(ustep[rnd & 1][u]) - int(ustep[(rnd - 1) & 1][u])
-                for kidx in range(k_n):
-                    if drop and drop_fate(fseed, srnd, u, v, kidx, drop):
-                        if record_drops:
-                            drop_records.append((rnd, u, v))
-                        continue
-                    if t_own == 0:
-                        counted += 1
-                        recv_set.add(v)
-                    else:
-                        same += 1
-        g = comm.allreduce(
-            counted, same, len(recv_set), halts_own, int(running.sum())
+        # Phase B: this round's batched broadcasts, several copies per
+        # edge after a catch-up (ulast gates out parity-frozen dead
+        # senders).
+        def sent(nbs):
+            k = ustep[rnd & 1][nbs] - ustep[(rnd - 1) & 1][nbs]
+            return np.where(ulast[nbs] == rnd, k, 0)
+
+        record, total_running = _close_round(
+            task, adv, rnd, sent, halts_own, running, drop_records
         )
-        per_round.append((g[0] + g[1], g[0] + g[3], g[2], g[3]))
-        total_running = g[4]
+        per_round.append(record)
 
-    return {
-        "rounds": per_round,
-        "crashes": crash_records,
-        "drops": drop_records,
-        "watchdog": watchdog,
-        "session_rounds": rnd,
-    }
+    return _payload(per_round, crash_records, drop_records, watchdog, rnd)
 
 
-def _sharded_defective_faulted(graph, d, degree_limit, ids_arr, seed, injector):
-    """The faulted half of :func:`sharded_defective_coloring`."""
-    import repro.obs as obs
-    from repro.core.defective import DefectiveColoringResult, defective_schedule
-
-    n = graph.n
-    bus = obs.current()
-    params = _fault_params(injector, n, "defective coloring", bus)
-    A = degree_limit if degree_limit is not None else graph.max_degree()
-    A = max(A, 1)
-    space = id_space(ids_arr)
-    schedule = defective_schedule(space, A, d)
-    bound = schedule[-1].ground_size if schedule else space
-    max_rounds = 4 * len(schedule) + 64
-    params.update(
-        {"n": n, "space": space, "A": A, "d": d, "max_rounds": max_rounds}
-    )
-    pre_crashed = params["pre_crashed"]
-
-    payloads, copies, _bounds = _execute_kernel(
-        "defective_faulted",
-        graph,
-        {
-            "ustep": ((2, n), np.int64),
-            "ucol": ((2, n), np.int64),
-            "ulast": ((n,), np.int64),
-            "term": ((n,), np.int64),
-            "col": ((n,), np.int64),
-            "ids": ids_arr,
-        },
-        params,
-        copy_keys=("term", "col"),
-    )
-    term = copies["term"]
-    col = copies["col"]
-
-    wd = [p["watchdog"] for p in payloads]
-    if any(w is not None for w in wd):
-        injector.absorb_rounds(
-            payloads[0]["session_rounds"],
-            [v for p in payloads for (_r, v) in p["crashes"]],
-        )
-        raise RoundLimitExceeded(
-            max_rounds, [v for w in wd if w is not None for v in w], None
-        )
-
-    rounds = payloads[0]["rounds"]
-    crash_rounds = dict(
-        sorted(((v, r) for p in payloads for (r, v) in p["crashes"]))
-    )
-    injector.absorb_rounds(payloads[0]["session_rounds"], list(crash_rounds))
-    outputs = {
-        v: int(col[v]) for v, t in enumerate(term.tolist()) if t > 0
-    }
-    res = finalize_faulted_run(
-        outputs,
-        term,
-        crash_rounds,
-        pre_crashed,
-        [r[0] for r in rounds],
-        [r[1] for r in rounds],
-        [r[2] for r in rounds],
-        crashed_all=[v for v in injector.crashed if v < n],
-        drops=[dd for p in payloads for dd in p.get("drops", ())],
-    )
-    return DefectiveColoringResult(
-        colors=dict(res.outputs),
-        metrics=res.metrics,
-        palette_bound=bound,
-        defect_bound=d,
-    )
-
-
-def sharded_defective_coloring(
-    graph: Graph,
-    d: int,
-    degree_limit: int | None = None,
-    ids: Sequence[int] | None = None,
-    seed: int = 0,
-):
-    """Sharded d-defective coloring; accounting closed-form in the parent
-    for fault-free runs, receiver-side per round under a fault session."""
-    from repro.core.defective import DefectiveColoringResult, defective_schedule
-    from repro.faults.plan import current
-
-    injector = current()
-    if injector is not None:
-        return _sharded_defective_faulted(
-            graph, d, degree_limit, resolve_ids(graph, ids), seed, injector
-        )
-
-    n = graph.n
-    ids_arr = resolve_ids(graph, ids)
-    A = degree_limit if degree_limit is not None else graph.max_degree()
-    A = max(A, 1)
-    space = id_space(ids_arr)
-    schedule = defective_schedule(space, A, d)
-    bound = schedule[-1].ground_size if schedule else space
-
-    if n and schedule:
-        colors0 = np.zeros((2, n), dtype=np.int64)
-        colors0[0] = ids_arr
-        payloads, copies, _bounds = _launch(
-            "defective",
-            graph,
-            {"colors": colors0},
-            {"n": n, "space": space, "A": A, "d": d},
-            copy_keys=("colors",),
-        )
-        colors = copies["colors"][payloads[0]["cur"]].tolist()
-    else:
-        colors = [int(x) for x in ids_arr]
-
-    steps = len(schedule)
-    offsets, _ = graph.csr(dtype="auto")
-    deg = (offsets[1:] - offsets[:-1]).astype(np.int64)
-    m2 = int(offsets[-1])
-    n_iso = int((deg == 0).sum())
-    n_ni = n - n_iso
-    term = np.ones(n, dtype=np.int64)
-    if steps and n_ni:
-        term[deg > 0] = steps + 1
-        sent = [m2] * steps + [0]
-        msgs = [m2 + n_iso] + [m2] * (steps - 1) + [n_ni]
-        recv = [n_ni] * steps + [0]
-    elif n:
-        sent, msgs, recv = [0], [n], [0]
-    else:
-        term = np.zeros(0, dtype=np.int64)
-        sent, msgs, recv = [], [], []
-    outputs = {v: colors[v] for v in range(n)}
-    res = finalize_run(outputs, term, sent, msgs, recv)
-    return DefectiveColoringResult(
-        colors=dict(res.outputs),
-        metrics=res.metrics,
-        palette_bound=bound,
-        defect_bound=d,
-    )
-
-
-#: kernel name -> worker entry point (resolved inside worker processes)
+#: kernel name -> entry point (resolved inside worker processes too)
 SHARD_KERNELS = {
     "partition": _kernel_partition,
     "luby": _kernel_luby,
-    "luby_faulted": _kernel_luby_faulted,
     "cole_vishkin": _kernel_cole_vishkin,
-    "cole_vishkin_faulted": _kernel_cole_vishkin_faulted,
     "defective": _kernel_defective,
-    "defective_faulted": _kernel_defective_faulted,
-}
-
-#: generator driver function name -> sharded twin (mirrors BULK_DRIVERS)
-SHARD_DRIVERS = {
-    "run_partition": sharded_partition,
-    "run_luby_mis": sharded_luby_mis,
-    "run_ring_three_coloring": sharded_ring_three_coloring,
-    "run_defective_coloring": sharded_defective_coloring,
 }

@@ -39,9 +39,12 @@ computation).  :class:`repro.obs.collect.MetricsCollector` accepts this
 aggregate granularity; per-vertex ``halt``/``commit`` events are simply
 absent from bulk traces.
 
-Fault injection is not supported: the adversary's per-message hooks have
-no seam in a vectorized round.  Drivers call :func:`require_no_faults`
-so an installed fault session fails loudly rather than being ignored.
+Fault injection: the adversary's per-message hooks have no seam in a
+vectorized round, so the algorithm kernels (:mod:`repro.core.shard`)
+evaluate the fault layer's counter-based crash and drop draws
+themselves.  Code without such a replay, like
+:func:`bulk_broadcast_kernel`, calls :func:`require_no_faults` so an
+installed fault session fails loudly rather than being ignored.
 """
 
 from __future__ import annotations
@@ -126,6 +129,26 @@ def require_no_faults(name: str) -> None:
         )
 
 
+def row_slots(
+    offsets: np.ndarray, verts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge positions of the CSR rows of ``verts``, concatenated, plus
+    the row lengths (int64): row ``verts[i]`` owns the next ``counts[i]``
+    positions of ``indices``."""
+    starts = offsets[verts].astype(np.int64)
+    counts = offsets[verts + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64), counts
+    cum = np.cumsum(counts)
+    pos = (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(cum - counts, counts)
+        + np.repeat(starts, counts)
+    )
+    return pos, counts
+
+
 def gather_rows(
     offsets: np.ndarray, indices: np.ndarray, verts: np.ndarray
 ) -> np.ndarray:
@@ -134,20 +157,7 @@ def gather_rows(
     The standard row-gather: for each v in ``verts`` the slice
     ``indices[offsets[v]:offsets[v+1]]``, all in one vectorized pass.
     """
-    if verts.size == 0:
-        return indices[:0]
-    starts = offsets[verts]
-    counts = offsets[verts + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return indices[:0]
-    cum = np.cumsum(counts)
-    pos = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(cum - counts, counts)
-        + np.repeat(starts, counts)
-    )
-    return indices[pos]
+    return indices[row_slots(offsets, verts)[0]]
 
 
 def finalize_run(
@@ -200,10 +210,10 @@ def _finalize_run(outputs, term, sent, msgs, receivers, bus) -> RunResult:
                 RoundEnd(rnd, int(msgs[i]), int(receivers[i]), int(halts[i]))
             )
 
-    term_t = tuple(int(r) for r in term)
+    term_t = tuple(term.tolist())
     metrics = RoundMetrics(
         rounds=term_t,
-        active_trace=tuple(int(a) for a in active),
+        active_trace=tuple(active.tolist()),
         messages_per_round=tuple(int(m) for m in msgs),
     )
     return RunResult(

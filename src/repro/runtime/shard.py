@@ -199,11 +199,13 @@ def current_shards() -> ShardSession | None:
 def shard_session(shards: int, partitioner: str = "range") -> Iterator[ShardSession]:
     """Run every bulk-engine driver in the ``with`` body sharded.
 
-    Composes with ``engine_session("bulk")``: the bulk dispatch seam in
-    each driver checks for an active shard session and routes to the
-    sharded twin (:data:`repro.core.shard.SHARD_DRIVERS`).  ``shards=1``
-    still exercises the full executor (partition, shared memory, worker
-    process, barriers) — useful as the degenerate equivalence case.
+    Composes with ``engine_session("bulk")``: every bulk driver
+    (:data:`repro.core.bulk.BULK_DRIVERS`) executes its algorithm's
+    kernel through ``repro.core.shard._execute_kernel``, which runs it
+    across worker processes while a shard session is active and
+    in-process otherwise.  ``shards=1`` still exercises the full
+    executor (partition, shared memory, worker process, barriers) —
+    useful as the degenerate equivalence case.
     """
     from repro.graphs.graph import PARTITIONERS
 
@@ -446,9 +448,9 @@ class ShardComm:
 class LocalComm:
     """In-process stand-in for :class:`ShardComm` (one-shard semantics).
 
-    Lets the faulted kernels in :mod:`repro.core.shard` run unsharded —
-    the bulk engine's fault path executes the *same* kernel code through
-    this no-op comm, so bulk == sharded(1) by construction.
+    Lets the kernels in :mod:`repro.core.shard` run unsharded — the
+    bulk engine executes the *same* kernel code through this no-op comm,
+    so bulk == sharded(1) by construction.
     """
 
     idx = 0

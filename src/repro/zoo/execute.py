@@ -195,11 +195,11 @@ def execute(
                 f"{what} has no bulk driver; engine='bulk' is available "
                 f"for: {capable}"
             )
-        # Fault plans are fine on the bulk engine: every bulk driver
-        # delegates to its sharded twin's fault-aware kernel (with or
-        # without a shard session), which re-derives the adversary from
-        # the pure counter-based draws; only duplicate/delay plans are
-        # rejected (BulkUnsupported) for lack of a receiver-side replay.
+        # Fault plans are fine on the bulk engine: every bulk driver runs
+        # its algorithm's one kernel (with or without a shard session),
+        # which re-derives the adversary from the pure counter-based
+        # draws; only duplicate/delay plans are rejected (BulkUnsupported)
+        # for lack of a receiver-side replay.
 
     sinks = []
     if trace:

