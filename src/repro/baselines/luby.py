@@ -8,6 +8,11 @@ announce, and terminate.  A constant fraction of *edges* disappears per
 attempt in expectation, giving O(log n) rounds w.h.p. -- for both the
 worst case and (up to constants) the average, since the survival
 probability decays per attempt, not per vertex neighborhood-size class.
+
+The attempt-k priority of the vertex with ID ``id`` is the keyed uniform
+``keyed_uniform(seed, LUBY, id, k)`` (:mod:`repro.draws`), a pure
+function of its key: the columnar kernel draws the same priorities for
+a whole shard in one :func:`~repro.draws.keyed_uniforms` call.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.common import LocalView
+from repro.draws import LUBY, keyed_uniform
 from repro.core.extension import MISResult
 from repro.graphs.graph import Graph
 from repro.runtime.context import Context
@@ -43,7 +49,7 @@ def run_luby_mis(
         attempt = 0
         while True:
             attempt += 1
-            prio = (ctx.rng.random(), ctx.id)
+            prio = (keyed_uniform(seed, LUBY, ctx.id, attempt), ctx.id)
             ctx.broadcast((PRIO, (attempt, prio)))
             yield
             view.absorb(ctx)

@@ -159,17 +159,14 @@ def bulk_luby_mis(
 ):
     """Columnar Luby MIS in round lockstep.
 
-    Attempt k: every alive vertex draws its k-th ``Random(f"{seed}:{id}:
-    seed").random()`` value (the same per-vertex stream the generator
-    driver consumes) and broadcasts it at round 2k-1; round 2k the
-    vertices beating every alive neighbor join the MIS and terminate;
-    round 2k+1 their alive neighbors leave and terminate.
-
-    Memory note: each alive vertex holds one ``random.Random`` instance,
-    created lazily on its first draw -- worst case (attempt 1, everyone
-    alive) that is n Mersenne states, so prefer :func:`bulk_partition` as
-    the n = 10^6 showcase.
+    Attempt k: every alive vertex draws its priority
+    ``keyed_uniform(seed, LUBY, id, k)`` (:mod:`repro.draws`; the kernel
+    draws a whole shard at once with the bit-identical vector form) and
+    broadcasts it at round 2k-1; round 2k the vertices beating every
+    alive neighbor join the MIS and terminate; round 2k+1 their alive
+    neighbors leave and terminate.
     """
+
     from repro.core.extension import MISResult
 
     n = graph.n

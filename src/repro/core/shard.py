@@ -26,20 +26,22 @@ which decomposes by ownership.  The per-row counts come from one
 cumulative sum over the gathered rows (:func:`_row_sums`), never from a
 sort.
 
-Fault draws (crash hazard, message drop) are pure counter-based
-functions of ``(seed, session round, vertex)`` / ``(..., src, dst, k)``
-(:mod:`repro.faults.plan`), so workers evaluate them locally and the
-injected stream is invariant under the shard count.  A clean run is the
+Fault draws (crash hazard, message drop) are keyed uniforms of
+``(seed, session round, vertex)`` / ``(..., src, dst, k)``
+(:mod:`repro.draws`), evaluated over whole arrays with one
+:func:`~repro.draws.keyed_uniforms` call, so workers evaluate them
+locally, the injected stream is invariant under the shard count, and it
+equals the generator engines' scalar draws bit for bit.  A clean run is the
 same code with no crash spec and a zero drop rate.
 """
 
 from __future__ import annotations
 
-from random import Random
 from typing import Any, Sequence
 
 import numpy as np
 
+from repro.draws import LUBY, MSG_DROP, keyed_uniforms
 from repro.graphs.graph import Graph
 from repro.runtime.bulk import BULK_CHUNK, BulkUnsupported, profiled, row_slots
 from repro.runtime.shard import (
@@ -165,15 +167,8 @@ class _Adversary:
         """Draw round ``rnd``'s crashes among the own ``running`` mask,
         retire them and log ``(rnd, v)``; returns their local indices and
         the number crashed across all shards."""
-        srnd = self.offset + rnd
-        newly = np.asarray(
-            [
-                i
-                for i in np.flatnonzero(running).tolist()
-                if self.crashes.strikes(self.seed, srnd, lo + i)
-            ],
-            dtype=np.int64,
-        )
+        run = np.flatnonzero(running)
+        newly = run[self.crashes.strikes_mask(self.seed, self.offset + rnd, run + lo)]
         running[newly] = False
         records.extend((rnd, lo + i) for i in newly.tolist())
         (crashed,) = comm.allreduce(newly.size)
@@ -184,22 +179,11 @@ class _Adversary:
         srnd: int,
         us: np.ndarray,
         ws: np.ndarray,
-        ks: np.ndarray | None = None,
+        ks: np.ndarray,
     ) -> np.ndarray:
         """Survival mask of the copies ``us[j] -> ws[j]`` (copy index
-        ``ks[j]``, default 0) sent in session round ``srnd``."""
-        from repro.faults.plan import drop_fate
-
-        if ks is None:
-            ks = np.zeros(us.size, dtype=np.int64)
-        return np.fromiter(
-            (
-                not drop_fate(self.seed, srnd, u, w, k, self.drop)
-                for u, w, k in zip(us.tolist(), ws.tolist(), ks.tolist())
-            ),
-            dtype=bool,
-            count=us.size,
-        )
+        ``ks[j]``) sent in session round ``srnd``."""
+        return keyed_uniforms(self.seed, MSG_DROP, srnd, us, ws, ks) >= self.drop
 
     def survivors(
         self,
@@ -263,17 +247,11 @@ def _row_sums(vals: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     return c[ends] - c[ends - cnt]
 
 
-def _tally(got: np.ndarray, t_rows: np.ndarray, rnd: int) -> tuple[int, int, int]:
-    """Round ``rnd``'s accounting from per-receiver delivered counts:
-    copies to still-running receivers, copies to receivers terminating
-    this round (routed, then dropped), distinct running receivers."""
-    live = t_rows == 0
-    g_live = got[live]
-    return (
-        int(g_live.sum()),
-        int(got[t_rows == rnd].sum()),
-        int(np.count_nonzero(g_live)),
-    )
+def _tally(got: np.ndarray, t_rows: np.ndarray) -> tuple[int, int]:
+    """A round's accounting from per-receiver delivered counts: copies
+    to still-running receivers and the distinct running receivers."""
+    g_live = got[t_rows == 0]
+    return int(g_live.sum()), int(np.count_nonzero(g_live))
 
 
 def _close_round(
@@ -289,24 +267,27 @@ def _close_round(
     still receive (running, crashed, or terminating this round), then the
     allreduce.  ``sent(nbs)`` gives the copies each neighbor broadcast
     this round, per edge.  Returns the round's ``(sent, msgs, receivers,
-    halts)`` record and the global running count."""
+    halts)`` record and the global running count.  ``sent`` counts the
+    copies broadcast, before the adversary drops any (the fast engine's
+    send events are the senders' intent); ``msgs`` the copies routed."""
     lo, hi = task.lo, task.hi
     own_term = task.views["term"][lo:hi]
     cand = np.flatnonzero((own_term == 0) | (own_term == rnd))
-    counted = same = recv_loc = 0
+    intent = counted = recv_loc = 0
     if cand.size:
         rows = cand + lo
         nbs, cnt, _slots = _rows(
             task.views["offsets"], task.views["indices"], rows, lo, hi
         )
         k = sent(nbs)
+        intent = int(k.sum())
         if adv.drop:
             k = adv.survivors(rnd, k, nbs, np.repeat(rows, cnt), log)
-        counted, same, recv_loc = _tally(_row_sums(k, cnt), own_term[cand], rnd)
+        counted, recv_loc = _tally(_row_sums(k, cnt), own_term[cand])
     g = task.comm.allreduce(
-        counted, same, recv_loc, halts_own, int(running.sum())
+        intent, counted, recv_loc, halts_own, int(running.sum())
     )
-    return (g[0] + g[1], g[0] + g[3], g[2], g[3]), g[4]
+    return (g[0], g[1] + g[3], g[2], g[3]), g[4]
 
 
 def _payload(per_round, crashes, drops, watchdog, rnd) -> dict[str, Any]:
@@ -406,20 +387,23 @@ def _kernel_partition(task: ShardTask) -> dict[str, Any]:
         comm.sync()
 
         # Phase B: this round's JOIN copies, per receiving row.
+        # (``intent`` counts copies before the adversary drops any, as
+        # the fast engine's send events do)
         cand = np.sort(np.concatenate((act, dead))) if dead.size else act
-        counted = same = recv_loc = 0
+        intent = counted = recv_loc = 0
         for c0 in range(0, cand.size, BULK_CHUNK):
             rows = cand[c0 : c0 + BULK_CHUNK] + lo
             nb, cnt, _slots = _rows(offsets, indices, rows, lo, hi)
             hit = term[nb] == rnd
+            intent += int(np.count_nonzero(hit))
             if adv.drop:
                 hit = adv.survivors(rnd, hit, nb, np.repeat(rows, cnt), drop_records)
             got = _row_sums(hit, cnt)
             heard[rows - lo] += got
-            c, s, r = _tally(got, term[rows], rnd)
-            counted, same, recv_loc = counted + c, same + s, recv_loc + r
-        g = comm.allreduce(counted, same, recv_loc, joined.size, int(alive.sum()))
-        per_round.append((g[0] + g[1], g[0] + g[3], g[2], g[3]))
+            c, r = _tally(got, term[rows])
+            counted, recv_loc = counted + c, recv_loc + r
+        g = comm.allreduce(intent, counted, recv_loc, joined.size, int(alive.sum()))
+        per_round.append((g[0], g[1] + g[3], g[2], g[3]))
         total_active = g[4]
         if task.ckpt is not None:
             task.ckpt(rnd, _blob())
@@ -451,8 +435,10 @@ def _kernel_luby(task: ShardTask) -> dict[str, Any]:
     engine reports.  Crash-safe, NOT drop-safe: a dropped MIS
     announcement can leave two adjacent winners (see docs/faults.md).
 
-    Each vertex draws its attempt-k priority from the same per-vertex
-    ``Random(f"{seed}:{id}:seed")`` stream the generator driver consumes.
+    The attempt-k priorities of a shard's running vertices are one
+    vector draw ``keyed_uniforms(seed, LUBY, ids, k)``, bit-identical to
+    the generator program's per-vertex ``keyed_uniform(seed, LUBY, id,
+    k)`` (:mod:`repro.draws`).
     """
     p = task.params
     offsets = task.views["offsets"]
@@ -471,8 +457,6 @@ def _kernel_luby(task: ShardTask) -> dict[str, Any]:
     e_att = np.zeros(m_own, dtype=np.int64)
     disc = np.zeros(m_own, dtype=bool)
     running, total_running = _running(p, lo, hi)
-    own_ids = ids_arr[lo:hi].tolist()
-    rngs: list[Random | None] = [None] * (hi - lo)
     crash_records: list[tuple[int, int]] = []
     drop_records: list[tuple[int, int, int]] = []
     per_round: list[tuple[int, int, int, int]] = []
@@ -507,13 +491,8 @@ def _kernel_luby(task: ShardTask) -> dict[str, Any]:
                     running[run[leave]] = False
                     halts_own = int(leave.sum())
                     run = run[~leave]
-            draws = []
-            for i in run.tolist():
-                rng = rngs[i]
-                if rng is None:
-                    rng = rngs[i] = Random(f"{seed}:{own_ids[i]}:seed")
-                draws.append(rng.random())
-            rand[run + lo] = draws
+            attempt = (rnd + 1) // 2
+            rand[run + lo] = keyed_uniforms(seed, LUBY, ids_arr[run + lo], attempt)
             lastp[run + lo] = rnd
         elif run.size:
             # Even round 2k: absorb attempt-k priorities and leave

@@ -26,12 +26,18 @@ The model
 Determinism
 -----------
 Every fault decision is a pure function of ``(plan.seed, round, vertex)``
-or ``(plan.seed, round, src, dst, k)`` -- counter-based draws via
-dedicated ``random.Random`` instances, never shared-stream state -- so the
-same plan produces bit-identical injections regardless of the order in
-which the engine evaluates them.  That is what lets the fast and the
-reference engine replay the *same* faulted execution (enforced by
-``tests/runtime/test_fault_equivalence.py``).
+or ``(plan.seed, round, src, dst, k)``: a counter-based keyed uniform
+(:mod:`repro.draws`) on its own stream -- :data:`~repro.draws.CRASH` for
+crash checks; :data:`~repro.draws.MSG_DROP`,
+:data:`~repro.draws.MSG_DELAY`, :data:`~repro.draws.MSG_DELAY_BY` and
+:data:`~repro.draws.MSG_DUP` for a copy's fate -- never shared-stream
+state, so the same plan produces bit-identical injections regardless of
+the order in which the engine evaluates them.  That is what lets the
+fast and the reference engine replay the *same* faulted execution
+(enforced by ``tests/runtime/test_fault_equivalence.py``), and the
+columnar kernels evaluate the same draws over whole arrays at once with
+:func:`~repro.draws.keyed_uniforms`, which equals the scalar form bit
+for bit.
 
 The injector boundary
 ---------------------
@@ -57,17 +63,22 @@ pass the *plan* and let each run compile its own.
 
 from __future__ import annotations
 
-import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
+import numpy as np
+
+from repro.draws import (
+    CRASH,
+    MSG_DELAY,
+    MSG_DELAY_BY,
+    MSG_DROP,
+    MSG_DUP,
+    keyed_uniform,
+    keyed_uniforms,
+)
 from repro.obs.events import FaultCrash, FaultDelay, FaultDrop, FaultDup
-
-
-def _msg_key(seed: int, rnd: int, src: int, dst: int, k: int) -> str:
-    """The counter-based message-fate stream name (one RNG per copy)."""
-    return f"{seed}:msg:{rnd}:{src}:{dst}:{k}"
 
 
 def message_fates(
@@ -79,34 +90,23 @@ def message_fates(
     ``()`` is a drop, ``(0,)`` normal delivery, ``(d,)`` a delay by ``d``
     extra rounds, ``(0, 0)``/``(d, 0)`` a duplication.  This is the draw
     :meth:`FaultInjector.fate` makes, factored out so executors that
-    evaluate fates outside an injector -- the sharded bulk workers and
-    the asynchronous event-queue scheduler, where ``rnd`` is the sender's
-    *local* round -- replay the identical fault stream.  The draw order
-    (drop, then delay, then duplicate, all off one keyed RNG) is part of
-    the determinism contract; do not reorder.
+    evaluate fates outside an injector -- the asynchronous event-queue
+    scheduler, where ``rnd`` is the sender's *local* round -- replay the
+    identical fault stream.  Each sub-draw (drop, delay, delay amount,
+    duplicate) is its own keyed stream over ``(seed, rnd, src, dst, k)``;
+    a zero probability skips its draw.  The columnar kernels evaluate
+    the drop sub-draw over whole edge arrays with
+    :func:`~repro.draws.keyed_uniforms`.
     """
-    rng = random.Random(_msg_key(seed, rnd, src, dst, k))
-    if mf.drop and rng.random() < mf.drop:
+    if mf.drop and keyed_uniform(seed, MSG_DROP, rnd, src, dst, k) < mf.drop:
         return ()
     fates: tuple[int, ...] = (0,)
-    if mf.delay and rng.random() < mf.delay:
-        fates = (1 + rng.randrange(mf.max_delay),)
-    if mf.duplicate and rng.random() < mf.duplicate:
+    if mf.delay and keyed_uniform(seed, MSG_DELAY, rnd, src, dst, k) < mf.delay:
+        u = keyed_uniform(seed, MSG_DELAY_BY, rnd, src, dst, k)
+        fates = (1 + int(u * mf.max_delay),)
+    if mf.duplicate and keyed_uniform(seed, MSG_DUP, rnd, src, dst, k) < mf.duplicate:
         fates = fates + (0,)
     return fates
-
-
-def drop_fate(seed: int, rnd: int, src: int, dst: int, k: int, drop: float) -> bool:
-    """The counter-based drop draw: is copy ``k`` of ``src -> dst`` in
-    session round ``rnd`` dropped?
-
-    Pure function of its arguments — the same draw
-    :meth:`FaultInjector.fate` makes first, factored out so the sharded
-    pull-based executor (:mod:`repro.runtime.shard`), which evaluates
-    message fates receiver-side and possibly in a different order and
-    process, reproduces the identical drop stream under any shard count.
-    """
-    return random.Random(_msg_key(seed, rnd, src, dst, k)).random() < drop
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,20 @@ class CrashSpec:
         if at is not None and rnd >= at:
             return True
         if self.hazard:
-            return random.Random(f"{seed}:crash:{rnd}:{v}").random() < self.hazard
+            return keyed_uniform(seed, CRASH, rnd, v) < self.hazard
         return False
+
+    def strikes_mask(self, seed: int, rnd: int, vs: np.ndarray) -> np.ndarray:
+        """:meth:`strikes` over an integer array of active vertices, as
+        one vector draw: ``mask[i] == strikes(seed, rnd, vs[i])``."""
+        if self.hazard:
+            mask = keyed_uniforms(seed, CRASH, rnd, vs) < self.hazard
+        else:
+            mask = np.zeros(len(vs), dtype=bool)
+        due = [v for v, at in self.at.items() if rnd >= at]
+        if due:
+            mask |= np.isin(vs, due)
+        return mask
 
 
 @dataclass(frozen=True)
@@ -320,15 +332,14 @@ class FaultInjector:
         self._delayed_sent = 0
         crashes: list[int] = []
         spec = self.plan.crashes
-        if spec is not None and spec.active:
-            seed = self.plan.seed
+        if spec is not None and spec.active and active:
+            vs = np.asarray(active, dtype=np.int64)
+            crashes = vs[spec.strikes_mask(self.plan.seed, srnd, vs)].tolist()
+            self.crashed.update(crashes)
             emit = self._emit
-            for v in active:
-                if spec.strikes(seed, srnd, v):
-                    crashes.append(v)
-                    self.crashed.add(v)
-                    if emit is not None:
-                        emit(FaultCrash(rnd, v))
+            if emit is not None:
+                for v in crashes:
+                    emit(FaultCrash(rnd, v))
         due = self._held.pop(srnd, None)
         if not due:
             return crashes, []

@@ -29,6 +29,11 @@ def canonical_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+#: entries cast per step while hashing the CSR arrays (bounds the int64
+#: temporary for int32-indexed graphs at n = 10^7)
+_HASH_CHUNK = 1 << 20
+
+
 @contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector while a block builds one large
@@ -101,7 +106,16 @@ class Graph:
         edges (in either orientation) are collapsed.
     """
 
-    __slots__ = ("_n", "_adj", "_adj_sets", "_edges", "_m", "_csr", "_csr_rows")
+    __slots__ = (
+        "_n",
+        "_adj",
+        "_adj_sets",
+        "_edges",
+        "_m",
+        "_csr",
+        "_csr_rows",
+        "_fingerprint",
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -109,6 +123,7 @@ class Graph:
         self._n = n
         self._csr = {}
         self._csr_rows = None
+        self._fingerprint = None
         adj: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
@@ -266,6 +281,23 @@ class Graph:
             self._csr_rows = list(self._csr_slices())
         return self._csr_rows
 
+    def fingerprint(self) -> str:
+        """sha256 hex digest of the graph: the CSR ``offsets`` then
+        ``indices``, each as little-endian int64 whatever the cached
+        index dtype, so the digest names the topology, not its encoding.
+        Computed once and cached (the graph is immutable)."""
+        if self._fingerprint is None:
+            import hashlib
+
+            import numpy as np
+
+            h = hashlib.sha256()
+            for arr in self._csr_view():
+                for i in range(0, arr.size, _HASH_CHUNK):
+                    h.update(np.ascontiguousarray(arr[i : i + _HASH_CHUNK], "<i8"))
+            self._fingerprint = h.hexdigest()
+        return self._fingerprint
+
     def _csr_view(self):
         """Whichever CSR view is cached, in its own index dtype (building
         the default one if none is): readers that only need the values
@@ -350,6 +382,7 @@ class Graph:
         g._adj_sets = None
         g._edges = None
         g._csr_rows = None
+        g._fingerprint = None
         g._csr = {np.dtype(offsets.dtype).name: (offsets, indices)}
         return g
 

@@ -14,7 +14,8 @@ tooling can consume:
   Lemma 6.1 decay story survives export instead of collapsing to a mean;
 
 * a **run manifest** -- one JSON record per ``zoo.execute()`` capturing
-  the run's identity (spec hash, workload, n, seed, fault-plan hash),
+  the run's identity (spec hash, workload, n, seed, fault-plan hash,
+  graph and ID fingerprints, ``a``),
   its mechanics (engine, shard count, partitioner, env/dtype info), and
   a digest of its results (timing, metrics).  The identity fields are
   folded into a stable content-address :attr:`RunManifest.key` -- the
@@ -44,7 +45,12 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
-MANIFEST_SCHEMA = 1
+#: version of the manifest record and of its key.  Schema 2 added the
+#: graph and ID fingerprints and ``a`` to the key; it also marks the
+#: switch of every seeded stream (fault plans, link delays, Luby
+#: priorities) to the keyed draws of :mod:`repro.draws`, so a schema-1
+#: key never names a schema-2 result.
+MANIFEST_SCHEMA = 2
 
 #: manifest files sit next to the trace: ``<trace>.manifest.jsonl``
 MANIFEST_SUFFIX = ".manifest.jsonl"
@@ -409,6 +415,21 @@ def plan_fingerprint(plan) -> str:
     return _digest(plan.to_dict())
 
 
+def ids_fingerprint(ids, n: int) -> str:
+    """sha256 of an ID assignment as little-endian int64 (JSON for IDs
+    beyond int64); ``ids=None`` is the identity assignment the engines
+    default to, so it hashes like ``range(n)``."""
+    import numpy as np
+
+    if ids is None:
+        ids = np.arange(n)
+    try:
+        arr = np.ascontiguousarray(ids, dtype="<i8")
+    except OverflowError:
+        return _digest([int(v) for v in ids])
+    return hashlib.sha256(arr).hexdigest()
+
+
 def runtime_env(graph=None) -> dict:
     """Interpreter / platform / dtype info for the manifest ``env`` block."""
     env: dict[str, Any] = {
@@ -439,9 +460,11 @@ class RunManifest:
     """One run's identity, mechanics, and result digest.
 
     The **identity** fields (spec_hash, workload, n, seed,
-    fault_plan_hash) are folded into :attr:`key` -- the content address:
-    stable across repeat runs of the same experiment, different whenever
-    any identity field differs.  Mechanics (engine, shards, env) and
+    fault_plan_hash, graph_hash, ids_hash, a, and the schema) are folded
+    into :attr:`key` -- the content address: stable across repeat runs
+    of the same experiment, different whenever any identity field
+    differs.  The spec's bound parameters (``eps``, schedule flags) are
+    part of ``spec_hash``.  Mechanics (engine, shards, env) and
     results (timing, metrics, status) are recorded but deliberately kept
     *out* of the key: all engines are pinned bit-identical, so the same
     experiment on a different engine or shard count is the same result.
@@ -460,6 +483,9 @@ class RunManifest:
     n: int
     seed: int
     fault_plan_hash: str = ""
+    graph_hash: str = ""
+    ids_hash: str = ""
+    a: int | None = None
     engine: str = "fast"
     mode: str = "sync"
     delays: dict = field(default_factory=dict)
@@ -476,11 +502,15 @@ class RunManifest:
     def key(self) -> str:
         """sha256 content address over the identity fields only."""
         ident = {
+            "schema": self.schema,
             "spec": self.spec_hash,
             "workload": self.workload,
             "n": self.n,
             "seed": self.seed,
             "faults": self.fault_plan_hash,
+            "graph": self.graph_hash,
+            "ids": self.ids_hash,
+            "a": self.a,
         }
         if self.mode != "sync":
             ident["mode"] = self.mode
@@ -498,6 +528,9 @@ class RunManifest:
             "n": self.n,
             "seed": self.seed,
             "fault_plan_hash": self.fault_plan_hash,
+            "graph_hash": self.graph_hash,
+            "ids_hash": self.ids_hash,
+            "a": self.a,
             "engine": self.engine,
             "mode": self.mode,
             "delays": self.delays,
@@ -519,6 +552,9 @@ class RunManifest:
             n=rec["n"],
             seed=rec["seed"],
             fault_plan_hash=rec.get("fault_plan_hash", ""),
+            graph_hash=rec.get("graph_hash", ""),
+            ids_hash=rec.get("ids_hash", ""),
+            a=rec.get("a"),
             engine=rec.get("engine", "fast"),
             mode=rec.get("mode", "sync"),
             delays=dict(rec.get("delays", {})),
@@ -529,7 +565,7 @@ class RunManifest:
             timing=dict(rec.get("timing", {})),
             metrics=dict(rec.get("metrics", {})),
             status=rec.get("status", "ok"),
-            schema=rec.get("schema", MANIFEST_SCHEMA),
+            schema=rec.get("schema", 1),
         )
 
 
@@ -547,6 +583,8 @@ def build_manifest(
     baseline: bool = False,
     plan=None,
     graph=None,
+    a: int | None = None,
+    ids=None,
     timing: Mapping | None = None,
     metrics: Mapping | None = None,
     status: str = "ok",
@@ -555,7 +593,8 @@ def build_manifest(
 
     ``delays`` accepts the :class:`~repro.runtime.async_sched.DelaySpec`
     object itself (canonicalized via its ``to_dict``) or an
-    already-serialized mapping.
+    already-serialized mapping.  With a ``graph``, the graph's cached
+    fingerprint and the fingerprint of ``ids`` join the identity.
     """
     if delays is None:
         delays_dict: dict = {}
@@ -570,6 +609,9 @@ def build_manifest(
         n=n,
         seed=seed,
         fault_plan_hash=plan_fingerprint(plan),
+        graph_hash=graph.fingerprint() if graph is not None else "",
+        ids_hash=ids_fingerprint(ids, n) if graph is not None else "",
+        a=a,
         engine=engine,
         mode=mode,
         delays=delays_dict,

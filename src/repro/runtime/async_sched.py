@@ -26,8 +26,9 @@ asynchronous analogue of the paper's vertex-averaged round complexity.
 
 Determinism
 -----------
-Everything is counter-based: link delays are pure functions of
-``(delay seed, src, dst, sender round)``, fault draws reuse the exact
+Everything is counter-based: link delays are keyed uniforms
+(:func:`repro.draws.keyed_uniform`, stream :data:`~repro.draws.EDGE_DELAY`)
+of ``(delay seed, src, dst, sender round)``, fault draws reuse the exact
 :func:`repro.faults.plan.message_fates` /
 :meth:`~repro.faults.plan.CrashSpec.strikes` streams keyed by the
 sender's *local* round (in a synchronous execution every active vertex's
@@ -53,10 +54,11 @@ Fault semantics carry over unchanged:
 from __future__ import annotations
 
 import heapq
-import random
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.draws import EDGE_DELAY, keyed_uniform
 from repro.faults.plan import message_fates
 from repro.obs.events import (
     Delivery,
@@ -83,14 +85,16 @@ class DelaySpec:
     """Seeded per-edge link-delay model.
 
     Each directed edge's round-``r`` token is delayed by an independent
-    draw keyed ``(seed, src, dst, r)`` -- a pure function, so the delay
+    draw from one keyed uniform ``u = keyed_uniform(seed, EDGE_DELAY, src,
+    dst, r)`` (:mod:`repro.draws`) -- a pure function, so the delay
     assignment is reproducible and independent of execution order:
 
     * ``fixed`` -- every delay is exactly ``scale`` (the degenerate
       model; with ``scale = 1`` virtual time reproduces round counts on
       communication-driven chains);
-    * ``uniform`` -- uniform on ``[scale/2, 3*scale/2)``;
-    * ``exp`` -- exponential with mean ``scale``.
+    * ``uniform`` -- ``scale * (0.5 + u)``, uniform on
+      ``[scale/2, 3*scale/2)``;
+    * ``exp`` -- ``-scale * log(1 - u)``, exponential with mean ``scale``.
 
     All three have mean ``scale``, which :class:`~repro.runtime.metrics
     .TimeMetrics` uses to normalize virtual times into round-equivalents.
@@ -117,10 +121,10 @@ class DelaySpec:
         """The delay of the round-``rnd`` token on edge ``src -> dst``."""
         if self.dist == "fixed":
             return self.scale
-        rng = random.Random(f"{self.seed}:edge:{src}:{dst}:{rnd}")
+        u = keyed_uniform(self.seed, EDGE_DELAY, src, dst, rnd)
         if self.dist == "uniform":
-            return self.scale * (0.5 + rng.random())
-        return rng.expovariate(1.0 / self.scale)
+            return self.scale * (0.5 + u)
+        return -self.scale * math.log(1.0 - u)
 
     # -- serialisation (manifests) -------------------------------------
     def to_dict(self) -> dict[str, Any]:

@@ -29,10 +29,10 @@ across worker processes:
   ``tests/runtime/test_shard.py`` pins this).
 
 Fault injection under sharding reuses the fault layer's counter-based
-draws (:meth:`repro.faults.plan.CrashSpec.strikes`,
-:func:`repro.faults.plan.drop_fate`): every decision is a pure function
-of ``(seed, round, vertex)`` or ``(seed, round, src, dst, k)``, so the
-injected stream is invariant under the shard count by construction.
+draws (:mod:`repro.draws`, evaluated over arrays by the kernels): every
+decision is a keyed uniform of ``(seed, round, vertex)`` or ``(seed,
+round, src, dst, k)``, so the injected stream is invariant under the
+shard count by construction.
 
 Synchronisation protocol
 ------------------------

@@ -297,6 +297,8 @@ def execute(
         baseline=baseline,
         plan=plan,
         graph=graph,
+        a=a,
+        ids=ids,
         timing=timing,
         metrics=metrics_digest,
         status=status,

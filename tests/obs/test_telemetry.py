@@ -8,8 +8,8 @@ Three contracts are pinned here:
   the vertex-averaged complexity T-bar;
 * the manifest content address -- stable across repeat runs of the same
   experiment, different the moment any identity field (spec, workload,
-  n, seed, fault plan) changes, and *insensitive* to mechanics like the
-  engine (all engines are pinned bit-identical);
+  n, seed, fault plan, graph, IDs, ``a``) changes, and *insensitive* to
+  mechanics like the engine (all engines are pinned bit-identical);
 * the manifest file format -- JSONL appended next to the trace, with
   the same torn-final-line crash tolerance as the event-trace reader.
 """
@@ -197,6 +197,46 @@ def test_manifest_key_sensitive_to_identity_insensitive_to_engine():
     bulk = _execute(engine="bulk").manifest
     assert bulk.key == base.key
     assert bulk.engine == "bulk" and base.engine == "fast"
+
+
+def test_manifest_key_separates_graphs_of_equal_size():
+    """path(64) and star(64) share n, seed and spec but not the result:
+    the graph fingerprint keeps their keys apart."""
+    path = zoo.execute("partition", gen.path(64), 3).manifest
+    star = zoo.execute("partition", gen.star(64), 3).manifest
+    assert path.metrics["vertex_averaged"] != star.metrics["vertex_averaged"]
+    assert path.n == star.n and path.graph_hash != star.graph_hash
+    assert path.key != star.key
+
+
+def test_manifest_key_separates_a_and_ids():
+    g = gen.path(64)
+    base = zoo.execute("partition", g, 1).manifest
+    assert zoo.execute("partition", g, 3).manifest.key != base.key
+    shuffled = zoo.execute("partition", g, 1, gen.random_ids(64, seed=1)).manifest
+    assert shuffled.ids_hash != base.ids_hash
+    assert shuffled.key != base.key
+    # no IDs means the identity assignment the engines default to
+    explicit = zoo.execute("partition", g, 1, list(range(64))).manifest
+    assert explicit.key == base.key
+
+
+def test_graph_fingerprint_names_the_topology_not_its_encoding():
+    import numpy as np
+
+    g = gen.union_of_forests(50, 2, seed=1)
+    offsets, indices = g.csr()
+    narrow = repro.Graph.from_csr(offsets.astype(np.int32), indices.astype(np.int32))
+    assert narrow.fingerprint() == g.fingerprint()
+    assert gen.path(50).fingerprint() != g.fingerprint()
+
+
+def test_manifest_schema_folds_into_key():
+    import dataclasses
+
+    man = _execute().manifest
+    assert man.schema == 2
+    assert dataclasses.replace(man, schema=1).key != man.key
 
 
 def test_manifest_mode_folds_into_key_only_when_async():

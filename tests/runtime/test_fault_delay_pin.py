@@ -189,29 +189,39 @@ class TestSeededSchedule:
         assert sched_a != sched_b
 
 
-#: literal pin of DELAY_SOME's schedule (filled from the pre-refactor
-#: engine; regenerate deliberately, never to paper over a drift)
+#: literal pin of DELAY_SOME's schedule (regenerated when the fault
+#: draws moved to the keyed uniforms of repro.draws; regenerate
+#: deliberately, never to paper over a drift)
 PINNED_SCHEDULE = [
-    (1, 0, 1, 1),
+    (1, 0, 11, 1),
+    (1, 1, 2, 1),
     (1, 2, 1, 1),
-    (1, 5, 6, 3),
-    (1, 8, 9, 3),
-    (1, 11, 0, 1),
+    (1, 3, 4, 3),
+    (1, 4, 5, 3),
+    (1, 5, 6, 1),
+    (1, 7, 6, 1),
+    (1, 9, 8, 2),
+    (1, 10, 9, 1),
+    (1, 10, 11, 3),
+    (1, 11, 10, 1),
     (2, 0, 11, 2),
-    (2, 1, 2, 2),
-    (2, 2, 1, 2),
-    (2, 5, 4, 3),
-    (2, 5, 6, 3),
-    (2, 6, 5, 2),
-    (2, 9, 8, 3),
+    (2, 1, 2, 1),
+    (2, 2, 1, 3),
+    (2, 2, 3, 1),
+    (2, 4, 3, 1),
+    (2, 7, 8, 1),
+    (2, 8, 7, 3),
+    (2, 8, 9, 3),
     (2, 10, 9, 1),
-    (2, 10, 11, 3),
-    (3, 1, 0, 2),
-    (3, 3, 4, 1),
-    (3, 6, 7, 1),
-    (3, 9, 8, 3),
-    (3, 9, 10, 1),
-    (3, 10, 11, 1),
-    (3, 11, 0, 2),
-    (3, 11, 10, 3),
+    (2, 10, 11, 1),
+    (3, 0, 1, 3),
+    (3, 0, 11, 1),
+    (3, 1, 2, 1),
+    (3, 2, 3, 2),
+    (3, 3, 4, 2),
+    (3, 4, 3, 3),
+    (3, 5, 4, 3),
+    (3, 8, 9, 2),
+    (3, 9, 8, 1),
+    (3, 11, 0, 1),
 ]
